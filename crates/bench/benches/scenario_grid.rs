@@ -1,32 +1,27 @@
 //! Criterion benchmark of the `fpk-scenarios` runner across three grid
-//! sizes, pitting the production executor against the legacy one:
+//! sizes, timing the production executor at two widths:
 //!
-//! * `serial/<size>` — the pre-pool reference path
-//!   ([`run_sweep_unpooled`] at width 1): spawn-per-call semantics, a
-//!   fresh `NetArena` per call, every `RunSummary` collected and then
-//!   aggregated per cell.
-//! * `parallel/<size>` — the production path ([`run_sweep_on`] at the
-//!   machine's worker count): the persistent worker pool with
-//!   per-worker arenas kept across calls, streaming per-cell
-//!   aggregation, no spawn/join per sweep.
+//! * `serial/<size>` — [`run_sweep_on`] at width 1: the whole grid runs
+//!   on the calling thread with its persistent scratch arena.
+//! * `parallel/<size>` — [`run_sweep_on`] at the machine's worker count
+//!   ([`thread_count`]): the same persistent pool, per-worker arenas
+//!   kept across calls, streaming per-cell aggregation.
 //!
 //! The three sizes share one base workload (a short rate-controlled
 //! run, 5 replications per cell — the experiment bins' ensemble width)
-//! and differ only in grid size, so the pair of rows isolates executor
-//! cost as the grid scales: `small` is a 6-cell table grid, `medium` a
-//! 24-cell table grid, `large` a 1000-cell stress-tier slice. The two
+//! and differ only in grid size, so the pair of rows shows the pool's
+//! speedup as the grid scales: `small` is a 6-cell table grid, `medium`
+//! a 24-cell table grid, `large` a 1000-cell stress-tier slice. The two
 //! rows produce bit-identical reports at every size (tested in
-//! `fpk-scenarios`); the ratio tracks the executor bug this layout was
-//! built to catch — parallel losing to serial on per-call overhead.
+//! `fpk-scenarios`); parallel must beat serial, or the pool's per-batch
+//! overhead has grown past the work it spreads.
 //!
-//! The executor margins are a few percent on a single-core box, so the
-//! group overrides the quick-mode sample cap (`sample_size(41)`) — five
-//! samples per id cannot resolve them and the baseline gate would be
-//! noise.
+//! The group overrides the quick-mode sample cap (`sample_size(41)`):
+//! five samples per id cannot resolve small-grid margins.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpk_congestion::LinearExp;
-use fpk_scenarios::{run_sweep_on, run_sweep_unpooled, thread_count, Axis, Scenario, Sweep};
+use fpk_scenarios::{run_sweep_on, thread_count, Axis, Scenario, Sweep};
 use fpk_sim::{Service, SimConfig, SourceSpec};
 use std::hint::black_box;
 
@@ -84,7 +79,7 @@ fn bench_scenario_grid(c: &mut Criterion) {
     let parallel = thread_count();
     for (size, sweep) in grids() {
         group.bench_with_input(BenchmarkId::new("serial", size), &sweep, |b, sweep| {
-            b.iter(|| run_sweep_unpooled(black_box(sweep), REPLICATIONS, 1).expect("sweep"));
+            b.iter(|| run_sweep_on(black_box(sweep), REPLICATIONS, 1).expect("sweep"));
         });
         group.bench_with_input(BenchmarkId::new("parallel", size), &sweep, |b, sweep| {
             b.iter(|| run_sweep_on(black_box(sweep), REPLICATIONS, parallel).expect("sweep"));

@@ -9,12 +9,16 @@
 //! Euler–Maruyama with reflection at the empty-queue boundary is the
 //! sample-path twin of the PDE with its zero-flux boundary; histograms of
 //! a particle ensemble must agree with the solver's marginals (experiment
-//! E4 — the KS distance is the reported metric). The ensemble runs in
-//! parallel with `std::thread::scope`, one deterministic RNG stream
-//! per chunk, so results are bit-reproducible for a fixed (seed, thread
-//! count) pair and statistically identical across thread counts.
+//! E4 — the KS distance is the reported metric). The ensemble is split
+//! into [`McConfig::threads`] contiguous particle chunks, chunk `c` on
+//! its own RNG stream `seed + c`; the chunks run as jobs on the shared
+//! worker pool (`fpk_numerics::par`) and are concatenated in chunk
+//! order. Results are therefore bit-identical for a fixed (seed, stream
+//! count) pair at any `FPK_THREADS`, and statistically identical across
+//! stream counts.
 
 use fpk_congestion::RateControl;
+use fpk_numerics::par::{run_indexed, thread_count};
 use fpk_numerics::{NumericsError, Result};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,9 +34,11 @@ pub struct McConfig {
     pub n_particles: usize,
     /// Euler–Maruyama step.
     pub dt: f64,
-    /// Base RNG seed; each worker chunk derives `seed + chunk_index`.
+    /// Base RNG seed; chunk `c` draws from stream `seed + c`.
     pub seed: u64,
-    /// Number of worker threads (1 = sequential).
+    /// Number of RNG streams, i.e. particle chunks (capped at
+    /// `n_particles`). It shapes the output; the worker count that runs
+    /// the chunks (`FPK_THREADS`) does not.
     pub threads: usize,
     /// Initial mean (q, ν) of the ensemble.
     pub init_mean: (f64, f64),
@@ -92,11 +98,27 @@ impl McSnapshot {
 ///
 /// # Errors
 /// Configuration validation errors, or empty/unsorted `snapshot_times`.
-pub fn simulate_ensemble<L: RateControl + Sync>(
+pub fn simulate_ensemble<L>(
     law: &L,
     cfg: &McConfig,
     snapshot_times: &[f64],
-) -> Result<Vec<McSnapshot>> {
+) -> Result<Vec<McSnapshot>>
+where
+    L: RateControl + Clone + Send + Sync + 'static,
+{
+    simulate_ensemble_on(law, cfg, snapshot_times, thread_count())
+}
+
+/// [`simulate_ensemble`] on an explicit pool width.
+fn simulate_ensemble_on<L>(
+    law: &L,
+    cfg: &McConfig,
+    snapshot_times: &[f64],
+    width: usize,
+) -> Result<Vec<McSnapshot>>
+where
+    L: RateControl + Clone + Send + Sync + 'static,
+{
     cfg.validate()?;
     if snapshot_times.is_empty()
         || snapshot_times.windows(2).any(|w| w[1] <= w[0])
@@ -107,95 +129,81 @@ pub fn simulate_ensemble<L: RateControl + Sync>(
         });
     }
     let n = cfg.n_particles;
-    let threads = cfg.threads.min(n);
-    let chunk = n.div_ceil(threads);
-    let sigma = cfg.sigma2.sqrt();
-
-    // Pre-allocate snapshot stores.
+    let chunk = n.div_ceil(cfg.threads.min(n));
+    // Chunks that would start past the last particle are empty: they
+    // are never run and contribute nothing.
+    let n_chunks = n.div_ceil(chunk);
+    let (law, job_cfg, times) = (law.clone(), cfg.clone(), snapshot_times.to_vec());
+    let chunks = run_indexed(n_chunks, width, move |c| {
+        let count = chunk.min(n - c * chunk);
+        simulate_chunk(&law, &job_cfg, &times, c, count)
+    });
     let mut snaps: Vec<McSnapshot> = snapshot_times
         .iter()
         .map(|&t| McSnapshot {
             t,
-            q: vec![0.0; n],
-            nu: vec![0.0; n],
+            q: Vec::with_capacity(n),
+            nu: Vec::with_capacity(n),
         })
         .collect();
-
-    // Split the per-snapshot buffers into per-chunk windows so worker
-    // threads write disjoint slices.
-    let mut snap_views: Vec<Vec<(&mut [f64], &mut [f64])>> = Vec::with_capacity(threads);
-    {
-        // Decompose each snapshot's q/nu into `threads` chunks.
-        let mut remaining: Vec<(&mut [f64], &mut [f64])> = snaps
-            .iter_mut()
-            .map(|s| (s.q.as_mut_slice(), s.nu.as_mut_slice()))
-            .collect();
-        for c in 0..threads {
-            let size = chunk.min(n - c * chunk);
-            let mut this_chunk = Vec::with_capacity(remaining.len());
-            let mut rest = Vec::with_capacity(remaining.len());
-            for (q, nu) in remaining {
-                let (q_head, q_tail) = q.split_at_mut(size);
-                let (nu_head, nu_tail) = nu.split_at_mut(size);
-                this_chunk.push((q_head, nu_head));
-                rest.push((q_tail, nu_tail));
-            }
-            snap_views.push(this_chunk);
-            remaining = rest;
+    for views in chunks {
+        for (snap, (q, nu)) in snaps.iter_mut().zip(views) {
+            snap.q.extend_from_slice(&q);
+            snap.nu.extend_from_slice(&nu);
         }
     }
-
-    std::thread::scope(|scope| {
-        for (c, views) in snap_views.into_iter().enumerate() {
-            let law = &law;
-            let times = snapshot_times;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(c as u64));
-                let count = views.first().map_or(0, |(q, _)| q.len());
-                let mut qs = vec![0.0f64; count];
-                let mut nus = vec![0.0f64; count];
-                for p in 0..count {
-                    qs[p] = (cfg.init_mean.0 + cfg.init_std.0 * gauss(&mut rng)).max(0.0);
-                    nus[p] = (cfg.init_mean.1 + cfg.init_std.1 * gauss(&mut rng)).max(-cfg.mu);
-                }
-                let mut t = 0.0f64;
-                let mut views = views;
-                for (si, time) in times.iter().enumerate() {
-                    // Advance all particles to this snapshot time.
-                    while t < time - 1e-12 {
-                        let dt = cfg.dt.min(time - t);
-                        let sq_dt = dt.sqrt();
-                        for p in 0..count {
-                            let q = qs[p];
-                            let nu = nus[p];
-                            // Empty-queue convention: the *drift* cannot
-                            // push the queue below empty (sticky wall,
-                            // matching the PDE's blocked advective flux);
-                            // only the noise reflects (zero-flux
-                            // diffusion).
-                            let q_det = (q + nu * dt).max(0.0);
-                            let mut q_new = q_det + sigma * sq_dt * gauss(&mut rng);
-                            if q_new < 0.0 {
-                                q_new = -q_new;
-                            }
-                            let g = law.g(q, nu + cfg.mu);
-                            let mut nu_new = nu + g * dt;
-                            if nu_new < -cfg.mu {
-                                nu_new = -cfg.mu; // λ >= 0
-                            }
-                            qs[p] = q_new;
-                            nus[p] = nu_new;
-                        }
-                        t += dt;
-                    }
-                    let (q_out, nu_out) = &mut views[si];
-                    q_out.copy_from_slice(&qs);
-                    nu_out.copy_from_slice(&nus);
-                }
-            });
-        }
-    });
     Ok(snaps)
+}
+
+/// Chunk `c` of the ensemble: `count` particles on RNG stream
+/// `seed + c`, returned as one `(q, ν)` pair per snapshot time.
+fn simulate_chunk<L: RateControl>(
+    law: &L,
+    cfg: &McConfig,
+    times: &[f64],
+    c: usize,
+    count: usize,
+) -> Vec<(Vec<f64>, Vec<f64>)> {
+    let sigma = cfg.sigma2.sqrt();
+    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(c as u64));
+    let mut qs = vec![0.0f64; count];
+    let mut nus = vec![0.0f64; count];
+    for p in 0..count {
+        qs[p] = (cfg.init_mean.0 + cfg.init_std.0 * gauss(&mut rng)).max(0.0);
+        nus[p] = (cfg.init_mean.1 + cfg.init_std.1 * gauss(&mut rng)).max(-cfg.mu);
+    }
+    let mut t = 0.0f64;
+    let mut views = Vec::with_capacity(times.len());
+    for time in times {
+        // Advance all particles to this snapshot time.
+        while t < time - 1e-12 {
+            let dt = cfg.dt.min(time - t);
+            let sq_dt = dt.sqrt();
+            for p in 0..count {
+                let q = qs[p];
+                let nu = nus[p];
+                // Empty-queue convention: the *drift* cannot push the
+                // queue below empty (sticky wall, matching the PDE's
+                // blocked advective flux); only the noise reflects
+                // (zero-flux diffusion).
+                let q_det = (q + nu * dt).max(0.0);
+                let mut q_new = q_det + sigma * sq_dt * gauss(&mut rng);
+                if q_new < 0.0 {
+                    q_new = -q_new;
+                }
+                let g = law.g(q, nu + cfg.mu);
+                let mut nu_new = nu + g * dt;
+                if nu_new < -cfg.mu {
+                    nu_new = -cfg.mu; // λ >= 0
+                }
+                qs[p] = q_new;
+                nus[p] = nu_new;
+            }
+            t += dt;
+        }
+        views.push((qs.clone(), nus.clone()));
+    }
+    views
 }
 
 /// Standard-normal sample via Box–Muller (avoids a rand_distr
@@ -259,9 +267,9 @@ mod tests {
     }
 
     #[test]
-    fn different_thread_counts_agree_statistically() {
-        // Chunk boundaries shift with the thread count, so individual
-        // particles differ; ensemble statistics must not.
+    fn different_stream_counts_agree_statistically() {
+        // Chunk boundaries and streams shift with the stream count, so
+        // individual particles differ; ensemble statistics must not.
         let law = LinearExp::new(1.0, 0.5, 10.0);
         let mut c1 = cfg();
         c1.n_particles = 20_000;
@@ -272,6 +280,59 @@ mod tests {
         let b = simulate_ensemble(&law, &c2, &[1.0]).unwrap();
         assert!((a[0].mean_q() - b[0].mean_q()).abs() < 0.05);
         assert!((a[0].var_q() - b[0].var_q()).abs() < 0.1);
+    }
+
+    /// FNV-1a over the bits of every snapshot's q then ν samples.
+    fn fingerprint(snaps: &[McSnapshot]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for s in snaps {
+            for x in s.q.iter().chain(&s.nu) {
+                for b in x.to_bits().to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn output_is_bitwise_equal_across_pool_widths() {
+        let law = LinearExp::new(1.0, 0.5, 10.0);
+        let at =
+            |width| fingerprint(&simulate_ensemble_on(&law, &cfg(), &[0.5, 1.0], width).unwrap());
+        let reference = at(1);
+        for width in [3, 7] {
+            assert_eq!(at(width), reference, "width {width} diverged from width 1");
+        }
+    }
+
+    #[test]
+    fn output_matches_the_pinned_scoped_thread_engine() {
+        // Captured from the engine this one replaced (one scoped thread
+        // per chunk writing into pre-split snapshot buffers): moving the
+        // chunks onto the pool must not move a single bit.
+        let law = LinearExp::new(1.0, 0.5, 10.0);
+        let snaps = simulate_ensemble(&law, &cfg(), &[0.5, 1.0]).unwrap();
+        assert_eq!(fingerprint(&snaps), 0x5afb_186c_1047_4acf);
+    }
+
+    #[test]
+    fn trailing_empty_chunks_still_return_every_particle() {
+        // n = 5 on 4 streams chunks as 2+2+1+0 and n = 10 on 8 as
+        // 2+2+2+2+2+0+0+0; the empty tail chunks once underflowed the
+        // chunk-size arithmetic.
+        let law = LinearExp::new(1.0, 0.5, 10.0);
+        for (n, streams) in [(5, 4), (10, 8)] {
+            let mut c = cfg();
+            c.n_particles = n;
+            c.threads = streams;
+            let snaps = simulate_ensemble(&law, &c, &[0.1, 0.2]).unwrap();
+            for s in &snaps {
+                assert_eq!(s.q.len(), n, "n = {n}, streams = {streams}");
+                assert_eq!(s.nu.len(), n, "n = {n}, streams = {streams}");
+            }
+        }
     }
 
     #[test]

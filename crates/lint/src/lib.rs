@@ -8,7 +8,8 @@
 //!
 //! * **Nondeterminism sources** (`Instant`/`SystemTime`, `HashMap`/
 //!   `HashSet`, `thread_rng`, `env::var`) are forbidden in `fpk-sim`
-//!   and `fpk-scenarios` library code, escape-hatched only by an
+//!   and `fpk-scenarios` library code and in the worker pool
+//!   (`fpk_numerics::par`), escape-hatched only by an
 //!   explicit `// lint: allow(<rule>) — <justification>`.
 //! * **Hot-path regions** (`// lint: hot-path arena(…)` …
 //!   `// lint: end`) forbid `dyn` and heap-allocating calls, with the
@@ -51,8 +52,9 @@ pub struct LintReport {
 /// families that apply to it (DESIGN §3h).
 #[must_use]
 pub fn classify(rel: &str) -> FileClass {
-    let nondet =
-        rel.starts_with("crates/simulator/src/") || rel.starts_with("crates/scenarios/src/");
+    let nondet = rel.starts_with("crates/simulator/src/")
+        || rel.starts_with("crates/scenarios/src/")
+        || rel == "crates/numerics/src/par.rs";
     FileClass {
         nondet,
         panics: rel == "crates/simulator/src/network.rs",
@@ -117,4 +119,26 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::classify;
+
+    #[test]
+    fn nondet_scope_covers_sim_scenarios_and_the_pool() {
+        for rel in [
+            "crates/simulator/src/network.rs",
+            "crates/scenarios/src/exec.rs",
+            "crates/numerics/src/par.rs",
+        ] {
+            assert!(classify(rel).nondet, "{rel} must be nondet-checked");
+        }
+        for rel in [
+            "crates/numerics/src/stats.rs",
+            "crates/core/src/montecarlo.rs",
+        ] {
+            assert!(!classify(rel).nondet, "{rel} is outside the nondet scope");
+        }
+    }
 }

@@ -16,20 +16,22 @@
 //! * [`sparse`] — CSR sparse matrices and sparse matrix–vector products.
 //! * [`interp`] — linear, cubic-Hermite and natural-cubic-spline
 //!   interpolation.
-//! * [`quad`] — trapezoid, Simpson and adaptive-Simpson quadrature.
 //! * [`roots`] — bisection and Brent root finding.
-//! * [`fft`] — radix-2 complex FFT and power spectra.
 //! * [`signal`] — peak detection, oscillation amplitude/period estimation,
 //!   damping fits and steady-state detection.
 //! * [`stats`] — running moments, histograms, empirical CDFs, KS distance,
 //!   autocorrelation.
+//! * [`par`] — the persistent worker pool every parallel layer runs on
+//!   (sweeps and the Langevin ensemble), with its `FPK_THREADS` width.
 //!
 //! # Design notes
 //!
-//! The crate is deliberately synchronous and allocation-conscious: the
-//! workloads are CPU-bound inner loops (PDE sweeps, Monte-Carlo batches),
-//! so the hot paths take `&mut [f64]` buffers the caller owns and reuses.
-//! All algorithms are deterministic; nothing here seeds its own RNG.
+//! The kernels are deliberately synchronous and allocation-conscious:
+//! the workloads are CPU-bound inner loops (PDE sweeps, Monte-Carlo
+//! batches), so the hot paths take `&mut [f64]` buffers the caller owns
+//! and reuses. Parallelism lives only in [`par`], whose results never
+//! depend on the worker count. All algorithms are deterministic; nothing
+//! here seeds its own RNG.
 //!
 //! # Example
 //!
@@ -53,17 +55,14 @@
 #![warn(missing_docs)]
 
 pub mod dde;
-pub mod fft;
 pub mod grid;
 pub mod interp;
 pub mod linalg;
 pub mod ode;
-pub mod optimize;
-pub mod quad;
+pub mod par;
 pub mod roots;
 pub mod signal;
 pub mod sparse;
-pub mod special;
 pub mod stats;
 
 /// Errors produced by the numerical routines in this crate.

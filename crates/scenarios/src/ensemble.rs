@@ -388,7 +388,7 @@ pub fn paired_diff(
 mod tests {
     use super::*;
     use fpk_congestion::LinearExp;
-    use fpk_sim::{Service, SimConfig, SourceSpec};
+    use fpk_sim::{ArrivalProcess, FlowSizeDist, Route, Service, SimConfig, SourceSpec, Workload};
 
     fn scenario() -> Scenario {
         Scenario::new(
@@ -443,26 +443,39 @@ mod tests {
         assert_eq!(s3, s5[..3]);
     }
 
+    /// [`scenario`] plus an open-loop finite-flow workload, so its
+    /// summaries carry FCT/slowdown statistics.
+    fn workload_scenario() -> Scenario {
+        scenario().with_workload(Workload::new(
+            ArrivalProcess::Poisson { rate: 10.0 },
+            FlowSizeDist::Exponential { mean: 4.0 },
+            vec![Route::single(0)],
+        ))
+    }
+
     #[test]
     fn streaming_accumulator_matches_collected_aggregate_bitwise() {
         // The sweep runner folds summaries through CellAccum one at a
         // time; the result must be bit-identical to aggregating the
-        // collected slice (same RunningStats push order per field).
-        let sc = scenario();
-        let summaries: Vec<RunSummary> = (0..4)
-            .map(|r| sc.run_seeded(Ensemble::replication_seed(5, r)).unwrap())
-            .collect();
-        let collected = aggregate(&summaries).unwrap();
-        let mut accum = CellAccum::new();
-        for s in &summaries {
-            accum.push(s).unwrap();
+        // collected slice (same RunningStats push order per field),
+        // workload statistics included.
+        for (sc, has_workload) in [(scenario(), false), (workload_scenario(), true)] {
+            let summaries: Vec<RunSummary> = (0..4)
+                .map(|r| sc.run_seeded(Ensemble::replication_seed(5, r)).unwrap())
+                .collect();
+            let collected = aggregate(&summaries).unwrap();
+            let mut accum = CellAccum::new();
+            for s in &summaries {
+                accum.push(s).unwrap();
+            }
+            let streamed = accum.finish().unwrap();
+            assert_eq!(streamed.workload.is_some(), has_workload);
+            assert_eq!(
+                serde_json::to_string(&collected).unwrap(),
+                serde_json::to_string(&streamed).unwrap()
+            );
+            assert_eq!(accum.replications(), 4);
         }
-        let streamed = accum.finish().unwrap();
-        assert_eq!(
-            serde_json::to_string(&collected).unwrap(),
-            serde_json::to_string(&streamed).unwrap()
-        );
-        assert_eq!(accum.replications(), 4);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Sweep execution on the persistent worker pool.
+//! Sweep execution on the shared worker pool.
 //!
 //! Determinism policy (same contract as `fpk_core::montecarlo`): every
 //! job is a pure function of its linear index — cell parameters and all
@@ -7,17 +7,13 @@
 //! base seed regardless of thread count**; the `FPK_THREADS` environment
 //! variable only changes wall-clock time.
 //!
-//! Execution model: batches run on the process-wide [`crate::pool`] —
-//! workers are spawned once, park on their job channels between sweeps,
-//! and keep their [`NetArena`] scratch across batches, so no sweep after
-//! the first pays thread-spawn or arena-construction cost (the PR-5
-//! executor spawned fresh `std::thread::scope` threads per sweep, which
-//! made `scenario_grid/parallel` *lose* to serial at table-sized grids).
-//! Workers *stride* the index space (worker `w` takes jobs
-//! `w, w+T, w+2T, …`) and stripes are interleaved back into index order
-//! after the batch. Setting `FPK_POOL=off` (or `0`) routes every batch
-//! through the spawn-per-call scoped fallback ([`run_indexed_scoped`])
-//! instead — same results, pre-pool cost profile.
+//! Execution model: batches run on the process-wide pool in
+//! `fpk_numerics::par` — workers are spawned once, park on their job
+//! channels between sweeps, and keep their [`NetArena`] scratch across
+//! batches, so no sweep after the first pays thread-spawn or
+//! arena-construction cost. Workers *stride* the index space (worker
+//! `w` takes jobs `w, w+T, w+2T, …`) and stripes are interleaved back
+//! into index order after the batch.
 //!
 //! Sweeps aggregate **streamingly**: parallelism is per *cell*, each
 //! worker folds its cell's replications one at a time through
@@ -29,168 +25,12 @@
 //! shard parts — bit-identical to the unsharded run.
 
 use crate::ensemble::{CellAccum, Ensemble, EnsembleStats};
-use crate::pool::{pool, resume_with_index, JobPanic};
 use crate::sweep::{Cell, Sweep};
+use fpk_numerics::par::{run_indexed_with, thread_count};
 use fpk_numerics::{NumericsError, Result};
 use fpk_sim::NetArena;
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-
-/// Worker count: the `FPK_THREADS` override when set, otherwise the
-/// machine's available parallelism.
-///
-/// # Panics
-/// Panics when `FPK_THREADS` is set to anything but a positive integer
-/// (unset or empty means "no override"). A typo'd determinism override
-/// must fail loudly, not silently fall back to machine parallelism.
-#[must_use]
-pub fn thread_count() -> usize {
-    // lint: allow(env-var) — FPK_THREADS is a designated config accessor (DESIGN §3h); worker count never feeds simulation results.
-    match std::env::var("FPK_THREADS") {
-        Err(std::env::VarError::NotPresent) => default_parallelism(),
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            panic!("FPK_THREADS must be a positive integer, got non-UTF-8 {raw:?}")
-        }
-        Ok(s) if s.is_empty() => default_parallelism(),
-        Ok(s) => match s.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => panic!(
-                "FPK_THREADS must be a positive integer, got {s:?} \
-                 (unset it for machine parallelism)"
-            ),
-        },
-    }
-}
-
-fn default_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// True unless `FPK_POOL` is set to `off`, `0`, or `false` — the
-/// kill-switch that routes batches through the spawn-per-call scoped
-/// fallback instead of the persistent pool.
-#[must_use]
-pub fn pool_enabled() -> bool {
-    !matches!(
-        // lint: allow(env-var) — FPK_POOL is a designated config accessor (DESIGN §3h); pool routing is bit-identical either way.
-        std::env::var("FPK_POOL").as_deref(),
-        Ok("off" | "0" | "false")
-    )
-}
-
-/// Run `n_jobs` independent jobs on `threads` workers and return their
-/// results in job order. Runs on the persistent pool (or the scoped
-/// fallback under `FPK_POOL=off`); either way the output is
-/// bit-identical as long as `f` is a pure function of the index.
-///
-/// # Panics
-/// Re-raises a panicking job on the calling thread, naming the failing
-/// job index alongside the original payload.
-pub fn run_indexed<T, F>(n_jobs: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    run_indexed_with(n_jobs, threads, || (), move |(), i| f(i))
-}
-
-/// [`run_indexed`] with per-worker scratch state: every worker obtains
-/// a `C` (pool workers reuse the one cached from earlier batches — this
-/// is how sweep replications share one [`NetArena`] per worker across
-/// the whole process) and threads it through all of its jobs.
-/// Determinism contract: `f` must be a pure function of the *index* —
-/// the scratch state may cache allocations but must not leak
-/// information between jobs.
-///
-/// The `'static` bounds exist because pool workers outlive the call;
-/// move [`Arc`]s into the closure for shared inputs, or use
-/// [`run_indexed_scoped`] when borrowing locals matters more than pool
-/// reuse.
-///
-/// # Panics
-/// See [`run_indexed`].
-pub fn run_indexed_with<T, C, I, F>(n_jobs: usize, threads: usize, init: I, f: F) -> Vec<T>
-where
-    C: std::any::Any + Send,
-    T: Send + 'static,
-    I: Fn() -> C + Send + Sync + 'static,
-    F: Fn(&mut C, usize) -> T + Send + Sync + 'static,
-{
-    if pool_enabled() {
-        pool().run_batch(n_jobs, threads, init, f)
-    } else {
-        run_indexed_scoped(n_jobs, threads, init, f)
-    }
-}
-
-/// The no-pool fallback executor: spawn `threads` scoped workers for
-/// this one batch and join them before returning. Accepts borrowing
-/// closures (no `'static`), costs a thread spawn per worker per call,
-/// and reports job panics exactly like the pool (failing index +
-/// original payload, smallest index wins).
-///
-/// # Panics
-/// See [`run_indexed`].
-pub fn run_indexed_scoped<T, C, I, F>(n_jobs: usize, threads: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> C + Sync,
-    F: Fn(&mut C, usize) -> T + Sync,
-{
-    if n_jobs == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n_jobs);
-    let run_stripe = |w: usize| -> std::result::Result<Vec<T>, JobPanic> {
-        let mut ctx = init();
-        let mut stripe = Vec::with_capacity(n_jobs / threads + 1);
-        let mut i = w;
-        while i < n_jobs {
-            match catch_unwind(AssertUnwindSafe(|| f(&mut ctx, i))) {
-                Ok(v) => stripe.push(v),
-                Err(payload) => return Err(JobPanic { index: i, payload }),
-            }
-            i += threads;
-        }
-        Ok(stripe)
-    };
-    let stripes: Vec<std::result::Result<Vec<T>, JobPanic>> = if threads == 1 {
-        vec![run_stripe(0)]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let run_stripe = &run_stripe;
-                    scope.spawn(move || run_stripe(w))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stripe worker catches its own panics"))
-                .collect()
-        })
-    };
-    let mut iters = Vec::with_capacity(threads);
-    let mut first_panic: Option<JobPanic> = None;
-    for outcome in stripes {
-        match outcome {
-            Ok(v) => iters.push(v.into_iter()),
-            Err(p) => {
-                if first_panic.as_ref().is_none_or(|q| p.index < q.index) {
-                    first_panic = Some(p);
-                }
-                iters.push(Vec::new().into_iter());
-            }
-        }
-    }
-    if let Some(p) = first_panic {
-        resume_with_index(p);
-    }
-    (0..n_jobs)
-        .map(|i| iters[i % threads].next().expect("stripe exhausted"))
-        .collect()
-}
 
 /// Evaluate every cell of a sweep with a custom function, in parallel,
 /// results in cell order. For sweeps whose cells are not plain DES runs
@@ -460,61 +300,6 @@ fn run_sweep_filtered(
     })
 }
 
-/// The pre-pool sweep runner, kept as the reference/fallback path (and
-/// the bench baseline's "serial" row): spawn-per-call scoped workers
-/// over `(cell, replication)` jobs, collect every `RunSummary`, then
-/// aggregate each cell's slice. Bit-identical output to
-/// [`run_sweep_on`] — only the cost profile differs (O(cells × R)
-/// summaries live at once, a fresh arena per worker per call).
-///
-/// # Errors
-/// See [`run_sweep`].
-pub fn run_sweep_unpooled(
-    sweep: &Sweep,
-    replications: usize,
-    threads: usize,
-) -> Result<SweepReport> {
-    Ensemble::new(replications)?;
-    let cells = sweep.cells();
-    let n_jobs = cells.len() * replications;
-    let summaries: Vec<Result<fpk_sim::RunSummary>> =
-        run_indexed_scoped(n_jobs, threads, NetArena::new, |arena, job| {
-            let cell = &cells[job / replications];
-            let r = job % replications;
-            cell.scenario
-                .run_seeded_in(arena, Ensemble::replication_seed(cell.seed, r))
-        });
-    let mut reports = Vec::with_capacity(cells.len());
-    let mut iter = summaries.into_iter();
-    for cell in cells {
-        let runs: Vec<fpk_sim::RunSummary> = iter
-            .by_ref()
-            .take(replications)
-            .collect::<Result<Vec<_>>>()?;
-        reports.push(CellReport {
-            name: cell.scenario.name.clone(),
-            index: cell.index,
-            coords: cell.coords.clone(),
-            seed: cell.seed,
-            stats: crate::ensemble::aggregate(&runs)?,
-        });
-    }
-    Ok(SweepReport {
-        name: sweep.name().to_string(),
-        base_seed: sweep.base_seed(),
-        replications,
-        axes: sweep
-            .axes()
-            .iter()
-            .map(|a| AxisReport {
-                name: a.name.clone(),
-                values: a.values.clone(),
-            })
-            .collect(),
-        cells: reports,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,88 +363,6 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_orders_results() {
-        for threads in [1, 2, 7] {
-            let out = run_indexed(23, threads, |i| i * i);
-            assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>());
-        }
-        assert!(run_indexed(0, 4, |i| i).is_empty());
-        // More workers than jobs clamps cleanly.
-        assert_eq!(run_indexed(3, 64, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn scoped_fallback_reuses_worker_state_within_a_call() {
-        // Each scoped worker counts its own jobs in its scratch state;
-        // the per-job output must still be a pure function of the
-        // index, and every job must run exactly once across workers.
-        // (The pooled path persists scratch *across* calls instead —
-        // covered by `pool::worker_scratch_persists_across_batches`.)
-        for threads in [1, 2, 5] {
-            let out = run_indexed_scoped(
-                17,
-                threads,
-                || 0usize,
-                |count, i| {
-                    *count += 1;
-                    (i, *count)
-                },
-            );
-            let indices: Vec<usize> = out.iter().map(|(i, _)| *i).collect();
-            assert_eq!(indices, (0..17).collect::<Vec<_>>());
-            let total: usize = out.iter().map(|(_, c)| *c).filter(|&c| c == 1).count();
-            assert_eq!(total, threads.min(17), "each worker starts at 1");
-        }
-    }
-
-    #[test]
-    fn scoped_fallback_names_panicking_job() {
-        for threads in [1, 3] {
-            let caught = catch_unwind(|| {
-                run_indexed_scoped(
-                    9,
-                    threads,
-                    || (),
-                    |(), i| {
-                        assert!(i != 5, "fallback boom");
-                        i
-                    },
-                )
-            })
-            .expect_err("the panicking job must propagate");
-            let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("job 5"), "missing index: {msg}");
-            assert!(msg.contains("fallback boom"), "missing payload: {msg}");
-        }
-    }
-
-    #[test]
-    fn thread_count_rejects_malformed_or_zero_override() {
-        let _guard = test_env::lock();
-        let _restore = test_env::VarGuard::capture("FPK_THREADS");
-        for bad in ["zero", "0", "-3", "1.5"] {
-            std::env::set_var("FPK_THREADS", bad);
-            let caught = catch_unwind(thread_count);
-            std::env::remove_var("FPK_THREADS");
-            let msg = caught
-                .expect_err("malformed FPK_THREADS must panic")
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            assert!(msg.contains(bad), "panic must quote the bad value: {msg}");
-        }
-        // Empty means "no override", like unset.
-        std::env::set_var("FPK_THREADS", "");
-        let n = thread_count();
-        std::env::remove_var("FPK_THREADS");
-        assert!(n >= 1);
-        std::env::set_var("FPK_THREADS", "3");
-        let n = thread_count();
-        std::env::remove_var("FPK_THREADS");
-        assert_eq!(n, 3);
-    }
-
-    #[test]
     fn sweep_output_bit_identical_across_thread_counts() {
         let s = sweep();
         let a = run_sweep_on(&s, 3, 1).unwrap();
@@ -674,7 +377,7 @@ mod tests {
 
     #[test]
     fn sweep_bit_identical_across_env_thread_counts_through_the_pool() {
-        // The ISSUE's pool-determinism criterion: FPK_THREADS ∈ {1,3,7}
+        // The pool-determinism criterion: FPK_THREADS ∈ {1,3,7}
         // routed through the *environment* (the production path), all
         // through the persistent pool, must serialise identically.
         let _guard = test_env::lock();
@@ -688,31 +391,6 @@ mod tests {
         }
         assert_eq!(outputs[0], outputs[1]);
         assert_eq!(outputs[0], outputs[2]);
-    }
-
-    #[test]
-    fn pooled_streaming_matches_unpooled_collected_bitwise() {
-        // The pooled streaming path and the legacy collect-then-
-        // aggregate fallback must agree to the bit, on the same sweep,
-        // at several widths.
-        let s = sweep();
-        let pooled = serde_json::to_string(&run_sweep_on(&s, 3, 4).unwrap()).unwrap();
-        for threads in [1, 4] {
-            let legacy =
-                serde_json::to_string(&run_sweep_unpooled(&s, 3, threads).unwrap()).unwrap();
-            assert_eq!(pooled, legacy, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn pool_kill_switch_preserves_results() {
-        let _guard = test_env::lock();
-        let _restore = test_env::VarGuard::capture("FPK_POOL");
-        let s = sweep();
-        let on = serde_json::to_string(&run_sweep_on(&s, 2, 3).unwrap()).unwrap();
-        std::env::set_var("FPK_POOL", "off");
-        let report = run_sweep_on(&s, 2, 3);
-        assert_eq!(on, serde_json::to_string(&report.unwrap()).unwrap());
     }
 
     #[test]

@@ -16,13 +16,13 @@
 //!   flow ever beats its ideal FCT (slowdown ≥ 1), even under finite
 //!   buffers and random loss;
 //! * a ~1.5×10⁵-flow workload sweep is bit-identical across executor
-//!   widths and the pooled/unpooled paths (the `montecarlo.rs`
-//!   determinism policy extends to workload runs);
+//!   widths (the `montecarlo.rs` determinism policy extends to workload
+//!   runs);
 //! * slot recycling changes *only* the arena high-water mark: a 10⁵
 //!   short-flow run needs O(concurrently-active) flow state, and every
 //!   other output bit matches the no-recycling reference.
 
-use fpk_repro::scenarios::{run_sweep_on, run_sweep_unpooled, Axis, Ensemble, Scenario, Sweep};
+use fpk_repro::scenarios::{run_sweep_on, Axis, Ensemble, Scenario, Sweep};
 use fpk_repro::sim::{
     ideal_fct, ideal_fct_sized, run_network_workload, ArrivalProcess, Bytes, FaultConfig,
     FlowSizeDist, Link, NetConfig, PacketBytes, QdiscKind, Route, Service, SimConfig, Topology,
@@ -346,9 +346,10 @@ fn workload_sweep() -> Sweep {
 }
 
 /// ~1.5×10⁵ flows across a 4-cell × 2-replication workload sweep must
-/// serialize bit-identically from the pooled executor at widths 1 and
-/// 3 and from the unpooled reference path (no `FPK_THREADS` /
-/// `FPK_POOL` env involvement — the widths are passed explicitly).
+/// serialize bit-identically from the executor at widths 1 and 3 (no
+/// `FPK_THREADS` env involvement — the widths are passed explicitly).
+/// That streamed per-cell aggregation equals collect-then-aggregate for
+/// workload summaries is pinned in `fpk_scenarios::ensemble`.
 #[test]
 fn workload_sweep_bit_identical_across_executors() {
     let sweep = workload_sweep();
@@ -369,9 +370,7 @@ fn workload_sweep_bit_identical_across_executors() {
     );
     let a = serde_json::to_string(&a).unwrap();
     let b = serde_json::to_string(&run_sweep_on(&sweep, 2, 3).unwrap()).unwrap();
-    let c = serde_json::to_string(&run_sweep_unpooled(&sweep, 2, 3).unwrap()).unwrap();
-    assert_eq!(a, b, "pooled width 1 vs 3 diverged");
-    assert_eq!(a, c, "pooled vs unpooled diverged");
+    assert_eq!(a, b, "width 1 vs 3 diverged");
 }
 
 /// 10⁵ short flows through one bottleneck: with slot recycling the
