@@ -6,8 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpk_congestion::{LinearExp, WindowAimd};
 use fpk_sim::{
     run, run_network, run_network_workload, ArrivalProcess, FaultConfig, FlowSizeDist, FlowSpec,
-    Link, NetConfig, QdiscKind, Route, Service, SimConfig, SourceSpec, Topology, TraceMode,
-    Workload,
+    Link, NetConfig, QdiscKind, Route, Service, SimConfig, SourceSpec, Topology, Workload,
 };
 use std::hint::black_box;
 
@@ -104,7 +103,6 @@ fn bench_network_by_hops(c: &mut Criterion) {
                 warmup: 2.0,
                 sample_interval: 0.5,
                 seed: 4,
-                trace: TraceMode::Full,
                 qdisc: QdiscKind::Fifo,
                 packet_bytes: None,
             };
@@ -133,7 +131,6 @@ fn bench_finite_flows(c: &mut Criterion) {
             warmup: 2.0,
             sample_interval: 0.5,
             seed: 5,
-            trace: TraceMode::Full,
             qdisc: QdiscKind::Fifo,
             packet_bytes: None,
         };
@@ -187,7 +184,6 @@ fn bench_network_qdisc(c: &mut Criterion) {
                 warmup: 2.0,
                 sample_interval: 0.5,
                 seed: 4,
-                trace: TraceMode::Full,
                 qdisc,
                 packet_bytes: None,
             };
@@ -251,7 +247,6 @@ fn bench_network_faults(c: &mut Criterion) {
                 warmup: 2.0,
                 sample_interval: 0.5,
                 seed: 4,
-                trace: TraceMode::Full,
                 qdisc: QdiscKind::Fifo,
                 packet_bytes: None,
             };

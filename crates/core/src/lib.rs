@@ -30,9 +30,6 @@
 //! * [`delayed`] — stochastic sample paths with delayed feedback (the
 //!   joint density is non-Markov under delay; Section 7 is reproduced on
 //!   paths, as in the paper).
-//! * [`operator`] — the one-step evolution assembled as a sparse matrix:
-//!   conservation audits, power-iteration stationary solves, and the
-//!   matrix-free-vs-assembled ablation.
 //!
 //! # Example
 //!
@@ -61,7 +58,6 @@ pub mod delayed;
 pub mod density;
 pub mod fv;
 pub mod montecarlo;
-pub mod operator;
 pub mod solver;
 pub mod steady;
 

@@ -13,7 +13,6 @@
 //! * [`dde`] — constant-lag delay differential equations via the method of
 //!   steps with cubic-Hermite history interpolation.
 //! * [`linalg`] — tridiagonal (Thomas) and banded solvers, small dense ops.
-//! * [`sparse`] — CSR sparse matrices and sparse matrix–vector products.
 //! * [`interp`] — linear, cubic-Hermite and natural-cubic-spline
 //!   interpolation.
 //! * [`roots`] — bisection and Brent root finding.
@@ -62,7 +61,6 @@ pub mod ode;
 pub mod par;
 pub mod roots;
 pub mod signal;
-pub mod sparse;
 pub mod stats;
 
 /// Errors produced by the numerical routines in this crate.

@@ -15,8 +15,7 @@
 use fpk_numerics::{NumericsError, Result};
 use fpk_sim::{
     run_network_summary, run_network_workload_summary, FaultConfig, FlowSpec, NetArena, NetConfig,
-    PacketBytes, QdiscKind, Route, RunSummary, SimConfig, SourceSpec, Topology, TraceMode,
-    Workload,
+    PacketBytes, QdiscKind, Route, RunSummary, SimConfig, SourceSpec, Topology, Workload,
 };
 use serde::{Deserialize, Serialize};
 
@@ -192,7 +191,6 @@ impl Scenario {
             warmup: self.config.warmup,
             sample_interval: self.config.sample_interval,
             seed,
-            trace: TraceMode::Full,
             qdisc: self.qdisc,
             packet_bytes: self.packet_bytes,
         };
@@ -209,8 +207,8 @@ impl Scenario {
     }
 
     /// [`Self::run_seeded`] against caller-owned scratch state: the run
-    /// records its traces into the arena ([`TraceMode::Summary`]) and the
-    /// summary is computed straight from them, so a replication loop
+    /// leaves its traces in the arena and the summary is computed
+    /// straight from them, so a replication loop
     /// holding one arena performs no per-run trace allocation. Output is
     /// bit-identical to [`Self::run_seeded`].
     ///
@@ -229,7 +227,7 @@ impl Scenario {
 mod tests {
     use super::*;
     use fpk_congestion::{LinearExp, WindowAimd};
-    use fpk_sim::{run_with_faults, summarize, Link, Service};
+    use fpk_sim::{run_network, summarize_network, Link, Service};
 
     fn base() -> Scenario {
         Scenario::new(
@@ -277,28 +275,27 @@ mod tests {
     }
 
     #[test]
-    fn single_bottleneck_summary_matches_legacy_path() {
-        // The fold onto the topology engine must not move any number:
-        // the scenario summary equals run_with_faults + summarize on the
-        // same seed, field for field.
+    fn single_bottleneck_summary_matches_full_trace_path() {
+        // The arena summary behind run_seeded must not move any number:
+        // it equals run_network + summarize_network on the scenario's
+        // own network and seed, field for field.
         let sc = base().with_faults(FaultConfig::Iid { loss_prob: 0.02 });
         let via_scenario = sc.run_seeded(11).unwrap();
-        let mut cfg = sc.config.clone();
-        cfg.seed = 11;
-        let direct = run_with_faults(&cfg, &sc.sources, &sc.faults).unwrap();
-        let via_legacy = summarize(&direct, sc.tail_fraction).unwrap();
-        assert_eq!(via_scenario.throughputs, via_legacy.throughputs);
+        let (net, flows) = sc.network(11).unwrap();
+        let direct =
+            summarize_network(&run_network(&net, &flows).unwrap(), sc.tail_fraction).unwrap();
+        assert_eq!(via_scenario.throughputs, direct.throughputs);
         assert_eq!(
             via_scenario.mean_queue.to_bits(),
-            via_legacy.mean_queue.to_bits()
+            direct.mean_queue.to_bits()
         );
         assert_eq!(
             via_scenario.utilization.to_bits(),
-            via_legacy.utilization.to_bits()
+            direct.utilization.to_bits()
         );
-        assert_eq!(via_scenario.jain.to_bits(), via_legacy.jain.to_bits());
-        assert_eq!(via_scenario.total_dropped, via_legacy.total_dropped);
-        assert_eq!(via_scenario.ctl_std, via_legacy.ctl_std);
+        assert_eq!(via_scenario.jain.to_bits(), direct.jain.to_bits());
+        assert_eq!(via_scenario.total_dropped, direct.total_dropped);
+        assert_eq!(via_scenario.ctl_std, direct.ctl_std);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! the historical behaviour **bit-identically** (same seed → same
 //! traces and counters, pinned by `tests/engine_equivalence.rs`).
 
-use crate::network::{run_network, FlowSpec, NetConfig, Route, Topology, TraceMode};
+use crate::network::{run_network, FlowSpec, NetConfig, NetFlowStats, Route, Topology};
 use crate::qdisc::QdiscKind;
 use crate::source::SourceSpec;
 use fpk_numerics::{NumericsError, Result};
@@ -53,35 +53,6 @@ pub struct SimConfig {
     pub seed: u64,
 }
 
-impl SimConfig {
-    fn validate(&self) -> Result<()> {
-        if !(self.mu > 0.0 && self.t_end > 0.0 && self.sample_interval > 0.0) {
-            return Err(NumericsError::InvalidParameter {
-                context: "SimConfig: mu, t_end, sample_interval must be positive",
-            });
-        }
-        if !(0.0..self.t_end).contains(&self.warmup) {
-            return Err(NumericsError::InvalidParameter {
-                context: "SimConfig: warmup must lie in [0, t_end)",
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Per-flow counters (collected after warm-up).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct FlowStats {
-    /// Packets handed to the network.
-    pub sent: u64,
-    /// Packets that completed service at the bottleneck.
-    pub delivered: u64,
-    /// Packets dropped at a full buffer.
-    pub dropped: u64,
-    /// Delivered / measurement window (packets per second).
-    pub throughput: f64,
-}
-
 /// Result of one simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimResult {
@@ -92,8 +63,9 @@ pub struct SimResult {
     /// Per-flow control state at each sample (λ for rate sources, window
     /// for window sources): `trace_ctl[k][i]`.
     pub trace_ctl: Vec<Vec<f64>>,
-    /// Per-flow counters.
-    pub flows: Vec<FlowStats>,
+    /// Per-flow counters (every flow crosses the one hop, so `hops` is
+    /// always 1).
+    pub flows: Vec<NetFlowStats>,
     /// Time-averaged queue length after warm-up.
     pub mean_queue: f64,
     /// Aggregate delivered throughput after warm-up (packets/s).
@@ -247,20 +219,15 @@ pub fn run(config: &SimConfig, sources: &[SourceSpec]) -> Result<SimResult> {
 /// bit-identical to the historical dedicated engine.
 ///
 /// # Errors
-/// Configuration validation errors; rejects an empty source list and
-/// invalid fault parameters (see [`FaultConfig::validate`]).
+/// Whatever [`run_network`] rejects for that topology: non-positive μ,
+/// a non-finite or non-positive horizon or sampling period, warm-up
+/// outside `[0, t_end)`, an empty source list, and invalid fault
+/// parameters (see [`FaultConfig::validate`]).
 pub fn run_with_faults(
     config: &SimConfig,
     sources: &[SourceSpec],
     faults: &FaultConfig,
 ) -> Result<SimResult> {
-    faults.validate()?;
-    config.validate()?;
-    if sources.is_empty() {
-        return Err(NumericsError::InvalidParameter {
-            context: "run: need at least one source",
-        });
-    }
     let net = NetConfig {
         topology: Topology::single(config.mu, config.service, config.buffer),
         faults: vec![*faults],
@@ -268,8 +235,6 @@ pub fn run_with_faults(
         warmup: config.warmup,
         sample_interval: config.sample_interval,
         seed: config.seed,
-        // SimResult exposes the traces, so the shim always records them.
-        trace: TraceMode::Full,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     };
@@ -281,16 +246,6 @@ pub fn run_with_faults(
         })
         .collect();
     let out = run_network(&net, &flows)?;
-    let flows: Vec<FlowStats> = out
-        .flows
-        .iter()
-        .map(|f| FlowStats {
-            sent: f.sent,
-            delivered: f.delivered,
-            dropped: f.dropped,
-            throughput: f.throughput,
-        })
-        .collect();
     Ok(SimResult {
         trace_t: out.trace_t,
         trace_q: out.trace_q.into_iter().next().expect("one link"),
@@ -298,7 +253,7 @@ pub fn run_with_faults(
         mean_queue: out.mean_queue[0],
         total_throughput: out.total_throughput,
         utilization: out.total_throughput / config.mu,
-        flows,
+        flows: out.flows,
     })
 }
 
@@ -475,6 +430,23 @@ mod tests {
         cfg2.warmup = cfg2.t_end;
         assert!(run(&cfg2, &[rate_source(1.0, 0.01)]).is_err());
         assert!(run(&base_config(), &[]).is_err());
+        // An infinite horizon is a named error, not an overflow in the
+        // sample-count arithmetic.
+        for t_end in [f64::INFINITY, f64::NAN] {
+            let cfg = SimConfig {
+                t_end,
+                ..base_config()
+            };
+            assert!(matches!(
+                run(&cfg, &[rate_source(1.0, 0.01)]),
+                Err(NumericsError::InvalidParameter { .. })
+            ));
+        }
+        let cfg = SimConfig {
+            sample_interval: f64::INFINITY,
+            ..base_config()
+        };
+        assert!(run(&cfg, &[rate_source(1.0, 0.01)]).is_err());
     }
 
     #[test]

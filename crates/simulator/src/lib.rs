@@ -20,12 +20,11 @@
 //!   and DECbit marking at any congested hop.
 //! * [`engine`] — the classic single-bottleneck API, now a 1-link shim
 //!   over [`network`] (bit-identical to the historical engine).
-//! * [`tandem`] — the legacy K-queue window-flows API, also a shim.
 //! * [`workload`] — finite-flow populations: open-loop arrivals
 //!   (Poisson / heavy-tailed Pareto), flow-size distributions, Zipf
 //!   route popularity, and FCT/slowdown summaries
 //!   ([`run_network_workload`]).
-//! * [`metrics`] — fairness/oscillation summaries and theory comparisons.
+//! * [`metrics`] — fairness/oscillation summaries of network runs.
 //!
 //! Every run is reproducible from its seed; `EXPERIMENTS.md` (workspace
 //! root) records the seeds each experiment binary uses.
@@ -63,24 +62,22 @@ pub mod metrics;
 pub mod network;
 pub mod qdisc;
 pub mod source;
-pub mod tandem;
 pub mod units;
 pub mod workload;
 
-pub use engine::{run, run_with_faults, FaultConfig, FlowStats, Service, SimConfig, SimResult};
+pub use engine::{run, run_with_faults, FaultConfig, Service, SimConfig, SimResult};
 pub use metrics::{
-    run_network_summary, run_network_workload_summary, summarize, summarize_network, RunSummary,
+    run_network_summary, run_network_workload_summary, summarize_network, RunSummary,
 };
 pub use network::{
     run_network, run_network_in, run_network_workload, run_network_workload_in, FlowSpec, Link,
-    NetArena, NetConfig, NetFlowStats, NetResult, Route, Topology, TraceMode,
+    NetArena, NetConfig, NetFlowStats, NetResult, Route, Topology,
 };
 pub use qdisc::{
     red_mark_probability, AveragedMark, Fifo, HopQdiscState, QDisc, QdiscKind, QdiscParams,
     RedMark, ThresholdMark,
 };
 pub use source::SourceSpec;
-pub use tandem::{run_tandem, TandemConfig, TandemFlow, TandemFlowStats, TandemResult};
 pub use units::{Bits, BitsPerSec, Bytes, Delay};
 pub use workload::{
     ideal_fct, ideal_fct_sized, zipf_weights, ArrivalProcess, DistSummary, FlowSizeDist,

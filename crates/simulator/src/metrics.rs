@@ -1,8 +1,6 @@
-//! Post-processing of simulation results: fairness summaries, oscillation
-//! analysis of queue traces, and comparisons against fluid/theory
-//! predictions.
+//! Post-processing of simulation results: fairness summaries and
+//! oscillation analysis of queue traces.
 
-use crate::engine::SimResult;
 use crate::network::{run_network_core, FlowSpec, NetArena, NetConfig, NetResult, TraceMode};
 use crate::workload::{Workload, WorkloadStats};
 use fpk_numerics::signal::{analyze_oscillation, Oscillation};
@@ -34,8 +32,7 @@ pub struct RunSummary {
     /// [`Workload`].
     pub workload: Option<WorkloadStats>,
     /// Worst per-hop downtime fraction (see
-    /// [`NetResult::downtime_frac`]; exact 0.0 for fault-free runs and
-    /// single-bottleneck [`SimResult`] summaries).
+    /// [`NetResult::downtime_frac`]; exact 0.0 for fault-free runs).
     pub downtime_frac: f64,
     /// Mean post-fault recovery time over the hops that sampled one
     /// (see [`NetResult::recovery_time`]; 0.0 when none did).
@@ -62,35 +59,8 @@ fn fault_recovery_summary(result: &NetResult) -> (f64, f64) {
     (downtime, recovery)
 }
 
-/// Summarise a simulation result, analysing the final `tail_fraction` of
-/// the queue trace for oscillation.
-///
-/// # Errors
-/// [`NumericsError::InvalidParameter`] when the trace is shorter than
-/// three samples or `tail_fraction` is NaN or outside `(0, 1]`;
-/// propagates fairness-metric errors.
-pub fn summarize(result: &SimResult, tail_fraction: f64) -> Result<RunSummary> {
-    validate_tail(tail_fraction, result.trace_t.len())?;
-    let throughputs: Vec<f64> = result.flows.iter().map(|f| f.throughput).collect();
-    let jain = fpk_congestion::fairness::jain_index(&throughputs)?;
-    let queue_oscillation = analyze_oscillation(&result.trace_t, &result.trace_q, tail_fraction)?;
-    let ctl_std = tail_ctl_std(&result.trace_ctl, result.flows.len(), tail_fraction);
-    Ok(RunSummary {
-        jain,
-        mean_queue: result.mean_queue,
-        utilization: result.utilization,
-        queue_oscillation,
-        total_dropped: result.flows.iter().map(|f| f.dropped).sum(),
-        ctl_std,
-        throughputs,
-        workload: None,
-        downtime_frac: 0.0,
-        recovery_time: 0.0,
-    })
-}
-
-/// Shared contract checks of the two summary entry points. Validated
-/// here rather than letting the values fall through to
+/// Shared contract checks of the Full-trace and arena summary paths.
+/// Validated here rather than letting the values fall through to
 /// `analyze_oscillation`: a NaN or out-of-range fraction is a caller bug
 /// and must be reported against the summary API's contract.
 fn validate_tail(tail_fraction: f64, trace_len: usize) -> Result<()> {
@@ -148,14 +118,10 @@ fn tail_ctl_std_flat(flat: &[f64], n_flows: usize, tail_fraction: f64) -> Vec<f6
 /// the *bottleneck* hop's trace (largest time-averaged queue, ties to
 /// the lowest index).
 ///
-/// For a 1-link topology this agrees bit-for-bit with
-/// [`summarize`] of the corresponding single-bottleneck run, so
-/// scenarios that moved onto the topology API keep their numbers.
-///
 /// # Errors
-/// Same contract as [`summarize`]: rejects a trace shorter than three
-/// samples or `tail_fraction` NaN / outside `(0, 1]`; propagates
-/// fairness-metric errors.
+/// [`NumericsError::InvalidParameter`] when the trace is shorter than
+/// three samples or `tail_fraction` is NaN or outside `(0, 1]`;
+/// propagates fairness-metric errors.
 pub fn summarize_network(result: &NetResult, tail_fraction: f64) -> Result<RunSummary> {
     validate_tail(tail_fraction, result.trace_t.len())?;
     let throughputs: Vec<f64> = result.flows.iter().map(|f| f.throughput).collect();
@@ -206,18 +172,18 @@ fn net_utilization(result: &NetResult) -> f64 {
 }
 
 /// Run a network simulation and summarise it in one step, recording
-/// traces into `arena`'s reusable buffers instead of the result
-/// ([`TraceMode::Summary`], forced regardless of `config.trace`).
+/// traces into `arena`'s reusable buffers instead of the result.
 ///
 /// This is the sweep fast path: a replication loop holding one arena
 /// performs **no per-run trace allocation** — and the output is
 /// bit-identical to `summarize_network(&run_network(..)?, ..)` on the
-/// same seed, because the dynamics are trace-mode-independent and the
-/// summary arithmetic is shared.
+/// same seed, because where the traces land cannot move the dynamics
+/// and the summary arithmetic is shared.
 ///
 /// # Errors
-/// Propagates `run_network` validation errors and the [`summarize`]
-/// contract (trace shorter than three samples, bad `tail_fraction`).
+/// Propagates `run_network` validation errors and the
+/// [`summarize_network`] contract (trace shorter than three samples,
+/// bad `tail_fraction`).
 pub fn run_network_summary(
     arena: &mut NetArena,
     config: &NetConfig,
@@ -234,8 +200,8 @@ pub fn run_network_summary(
 ///
 /// # Errors
 /// Propagates [`crate::run_network_workload`] validation errors and the
-/// [`summarize`] contract (trace shorter than three samples, bad
-/// `tail_fraction`).
+/// [`summarize_network`] contract (trace shorter than three samples,
+/// bad `tail_fraction`).
 pub fn run_network_workload_summary(
     arena: &mut NetArena,
     config: &NetConfig,
@@ -274,47 +240,43 @@ fn arena_summary(arena: &NetArena, out: NetResult, tail_fraction: f64) -> Result
     })
 }
 
-/// Relative error between measured per-flow throughputs and a theoretical
-/// share prediction (both normalised): the E6b verdict number.
-///
-/// # Errors
-/// Propagates share-comparison errors (length mismatch, zero totals).
-pub fn theory_gap(result: &SimResult, predicted: &[f64]) -> Result<f64> {
-    let measured: Vec<f64> = result.flows.iter().map(|f| f.throughput).collect();
-    fpk_congestion::fairness::share_prediction_error(&measured, predicted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run, Service, SimConfig};
+    use crate::engine::{FaultConfig, Service};
+    use crate::network::{run_network, Topology};
+    use crate::qdisc::QdiscKind;
     use crate::source::SourceSpec;
     use fpk_congestion::LinearExp;
 
-    fn quick_result() -> SimResult {
-        let cfg = SimConfig {
-            mu: 50.0,
-            service: Service::Exponential,
-            buffer: None,
-            t_end: 60.0,
-            warmup: 10.0,
-            sample_interval: 0.05,
-            seed: 3,
-        };
-        let src = SourceSpec::Rate {
+    fn rate_flow() -> FlowSpec {
+        FlowSpec::single_hop(SourceSpec::Rate {
             law: LinearExp::new(2.0, 0.5, 8.0),
             lambda0: 10.0,
             update_interval: 0.1,
             prop_delay: 0.01,
             poisson: true,
+        })
+    }
+
+    fn quick_result() -> NetResult {
+        let cfg = NetConfig {
+            topology: Topology::single(50.0, Service::Exponential, None),
+            faults: Vec::new(),
+            t_end: 60.0,
+            warmup: 10.0,
+            sample_interval: 0.05,
+            seed: 3,
+            qdisc: QdiscKind::Fifo,
+            packet_bytes: None,
         };
-        run(&cfg, &[src.clone(), src]).unwrap()
+        run_network(&cfg, &[rate_flow(), rate_flow()]).unwrap()
     }
 
     #[test]
     fn summary_fields_consistent() {
         let r = quick_result();
-        let s = summarize(&r, 0.5).unwrap();
+        let s = summarize_network(&r, 0.5).unwrap();
         assert_eq!(s.throughputs.len(), 2);
         assert!(s.jain > 0.5 && s.jain <= 1.0);
         assert!(s.mean_queue >= 0.0);
@@ -328,41 +290,31 @@ mod tests {
     }
 
     #[test]
-    fn theory_gap_zero_against_self() {
-        let r = quick_result();
-        let measured: Vec<f64> = r.flows.iter().map(|f| f.throughput).collect();
-        let gap = theory_gap(&r, &measured).unwrap();
-        assert!(gap < 1e-12);
-    }
-
-    #[test]
     fn summarize_rejects_short_trace() {
         let mut r = quick_result();
         r.trace_t.truncate(2);
-        r.trace_q.truncate(2);
-        assert!(summarize(&r, 0.5).is_err());
+        r.trace_q[0].truncate(2);
+        assert!(summarize_network(&r, 0.5).is_err());
     }
 
     #[test]
     fn summarize_rejects_nan_tail_fraction() {
         let r = quick_result();
-        assert!(summarize(&r, f64::NAN).is_err());
+        assert!(summarize_network(&r, f64::NAN).is_err());
     }
 
     #[test]
     fn run_network_summary_matches_full_trace_path() {
         // The arena fast path must not move a single bit relative to
         // run_network (Full traces) + summarize_network.
-        use crate::network::{run_network, FlowSpec, NetConfig, Topology};
         let cfg = NetConfig {
             topology: Topology::single(50.0, Service::Exponential, Some(40)),
-            faults: vec![crate::engine::FaultConfig::Iid { loss_prob: 0.02 }],
+            faults: vec![FaultConfig::Iid { loss_prob: 0.02 }],
             t_end: 30.0,
             warmup: 6.0,
             sample_interval: 0.1,
             seed: 42,
-            trace: crate::network::TraceMode::Full,
-            qdisc: crate::qdisc::QdiscKind::Fifo,
+            qdisc: QdiscKind::Fifo,
             packet_bytes: None,
         };
         let flows: Vec<FlowSpec> = vec![
@@ -400,10 +352,10 @@ mod tests {
     #[test]
     fn summarize_rejects_out_of_range_tail_fraction() {
         let r = quick_result();
-        assert!(summarize(&r, 0.0).is_err());
-        assert!(summarize(&r, -0.3).is_err());
-        assert!(summarize(&r, 1.5).is_err());
+        assert!(summarize_network(&r, 0.0).is_err());
+        assert!(summarize_network(&r, -0.3).is_err());
+        assert!(summarize_network(&r, 1.5).is_err());
         // The boundary 1.0 (analyse the whole trace) is legal.
-        assert!(summarize(&r, 1.0).is_ok());
+        assert!(summarize_network(&r, 1.0).is_ok());
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! This is the one event loop behind every public entry point of the
 //! crate. [`run_network`] subsumes both the single-bottleneck engine
-//! (`engine::run_with_faults` is a 1-link shim) and the legacy tandem
-//! simulator (`tandem::run_tandem` is a K-link window-flows shim), so
+//! (`engine::run_with_faults` is a 1-link shim) and the former tandem
+//! simulator (a lossless K-link topology of window flows), so
 //! parking-lot topologies, per-hop heterogeneous service, per-hop fault
 //! injection, DECbit marking at any congested hop, and mixed rate/window
 //! multi-hop flows are all expressible through a single API.
@@ -39,27 +39,20 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// How much trace data a run records.
-///
-/// The event dynamics (RNG draws, event order, counters, mean queues)
-/// are **identical across modes** — sampling draws no randomness — so
-/// the mode only controls what lands in [`NetResult`]'s trace fields and
-/// how much the run allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum TraceMode {
-    /// Record nothing: `trace_t`/`trace_q`/`trace_ctl` come back empty.
-    /// For consumers that only read counters and per-hop means (the
-    /// legacy tandem shim, throughput-only sweeps).
-    Off,
-    /// Record traces into the reusable [`NetArena`] buffers only; the
+/// Where a run leaves its traces. Every run records them; the mode only
+/// decides whether they are handed out, so the event dynamics (RNG
+/// draws, event order, counters, mean queues) are identical across
+/// modes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TraceMode {
+    /// Keep the traces in the reusable [`NetArena`] buffers; the
     /// returned [`NetResult`]'s trace fields stay empty. This is the
     /// fast path behind [`crate::metrics::run_network_summary`]: a
     /// [`crate::RunSummary`] is computed straight from the arena, so a
     /// replication loop allocates no trace storage after its first run.
     Summary,
-    /// Record traces and hand them out in [`NetResult`], preallocated at
-    /// exact capacity (`⌊t_end/sample_interval⌋ + 1` samples).
-    #[default]
+    /// Hand the traces out in [`NetResult`], preallocated at exact
+    /// capacity (`⌊t_end/sample_interval⌋ + 1` samples).
     Full,
 }
 
@@ -194,9 +187,6 @@ pub struct NetConfig {
     pub sample_interval: f64,
     /// RNG seed (the run is fully deterministic given the seed).
     pub seed: u64,
-    /// How much trace data to record ([`TraceMode::Full`] is the
-    /// `Default`, matching the engine's historical behaviour).
-    pub trace: TraceMode,
     /// Queue discipline at every hop. [`QdiscKind::Fifo`] (the default)
     /// keeps the historical per-flow marking policy; the others impose
     /// a hop-level policy that overrides each flow's own `q̂`/DECbit
@@ -220,9 +210,20 @@ impl NetConfig {
                 context: "NetConfig: link service rates must be positive",
             });
         }
+        if !(self.t_end.is_finite() && self.sample_interval.is_finite()) {
+            return Err(NumericsError::InvalidParameter {
+                context: "NetConfig: t_end and sample_interval must be finite",
+            });
+        }
         if !(self.t_end > 0.0 && self.sample_interval > 0.0) {
             return Err(NumericsError::InvalidParameter {
                 context: "NetConfig: t_end and sample_interval must be positive",
+            });
+        }
+        // The sample count ⌊t_end/Δ⌋ + 1 sizes the trace buffers.
+        if !(self.t_end / self.sample_interval < f64::from(u32::MAX)) {
+            return Err(NumericsError::InvalidParameter {
+                context: "NetConfig: t_end / sample_interval must stay below 2^32 samples",
             });
         }
         if !(0.0..self.t_end).contains(&self.warmup) {
@@ -344,8 +345,7 @@ impl NetConfig {
     }
 }
 
-/// Per-flow counters (collected after warm-up) — the unified superset of
-/// the legacy `FlowStats` and `TandemFlowStats`.
+/// Per-flow counters (collected after warm-up).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NetFlowStats {
     /// Packets handed to the network.
@@ -362,9 +362,10 @@ pub struct NetFlowStats {
 
 /// Result of one network run.
 ///
-/// The three trace fields are populated under [`TraceMode::Full`] only;
-/// [`TraceMode::Off`] and [`TraceMode::Summary`] leave them empty (the
-/// latter keeps the data in the [`NetArena`] for the summary fast path).
+/// The three trace fields are populated by [`run_network`] and
+/// [`run_network_workload`] (and their `_in` twins); the summary fast
+/// paths ([`crate::metrics::run_network_summary`]) leave them empty and
+/// read the traces straight from the [`NetArena`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NetResult {
     /// Trace sample times.
@@ -469,7 +470,7 @@ impl NetArena {
 
     /// Clear every buffer (keeping capacity) and size it for a run over
     /// `k` hops with the given flows and expected sample count.
-    fn reset(&mut self, k: usize, flows: &[FlowSpec], n_samples: usize, trace: TraceMode) {
+    fn reset(&mut self, k: usize, flows: &[FlowSpec], n_samples: usize) {
         self.ev.clear();
         self.states.clear();
         self.states
@@ -504,13 +505,11 @@ impl NetArena {
         self.dyn_free.clear();
         self.fcts.clear();
         self.slowdowns.clear();
-        if trace != TraceMode::Off {
-            self.trace_t.reserve(n_samples);
-            for q in &mut self.trace_q {
-                q.reserve(n_samples);
-            }
-            self.trace_ctl.reserve(n_samples * flows.len());
+        self.trace_t.reserve(n_samples);
+        for q in &mut self.trace_q {
+            q.reserve(n_samples);
         }
+        self.trace_ctl.reserve(n_samples * flows.len());
     }
 }
 
@@ -734,18 +733,18 @@ fn fifo_flow_marked(word: u32) -> (usize, bool) {
 /// Run a network simulation: every flow crosses its route through the
 /// shared deterministic [`EventQueue`].
 ///
-/// For a 1-link topology this reproduces `engine::run_with_faults`
-/// bit-identically (same seed → same traces and counters); for a
-/// lossless all-window topology it reproduces the legacy `run_tandem`
-/// counters (pinned by `tests/engine_equivalence.rs`).
+/// For a 1-link topology this reproduces the historical single-bottleneck
+/// engine bit-identically (same seed → same traces and counters); for a
+/// lossless all-window topology it reproduces the historical tandem
+/// engine's counters (both pinned by `tests/engine_equivalence.rs`).
 ///
 /// Allocates a fresh [`NetArena`] per call; use [`run_network_in`] to
 /// amortise the scratch state over many runs.
 ///
 /// # Errors
 /// [`NumericsError::InvalidParameter`] for an empty topology or flow
-/// list, non-positive rates/times, routes out of range, or `loss_prob`
-/// outside [0, 1).
+/// list, non-positive rates/times, a non-finite horizon or sampling
+/// period, routes out of range, or `loss_prob` outside [0, 1).
 pub fn run_network(config: &NetConfig, flows: &[FlowSpec]) -> Result<NetResult> {
     run_network_in(&mut NetArena::new(), config, flows)
 }
@@ -753,7 +752,7 @@ pub fn run_network(config: &NetConfig, flows: &[FlowSpec]) -> Result<NetResult> 
 /// [`run_network`] against caller-owned scratch state. The arena is
 /// fully reset first, so the output is identical to a fresh run; what
 /// the reuse buys is zero per-run allocation for everything except the
-/// returned [`NetResult`] (and, under [`TraceMode::Full`], its traces).
+/// returned [`NetResult`] and its traces.
 ///
 /// # Errors
 /// See [`run_network`].
@@ -762,7 +761,7 @@ pub fn run_network_in(
     config: &NetConfig,
     flows: &[FlowSpec],
 ) -> Result<NetResult> {
-    run_network_core(arena, config, flows, None, config.trace)
+    run_network_core(arena, config, flows, None, TraceMode::Full)
 }
 
 /// [`run_network`] plus a finite-flow [`Workload`]: open-loop flow
@@ -799,7 +798,7 @@ pub fn run_network_workload_in(
     flows: &[FlowSpec],
     workload: &Workload,
 ) -> Result<NetResult> {
-    run_network_core(arena, config, flows, Some(workload), config.trace)
+    run_network_core(arena, config, flows, Some(workload), TraceMode::Full)
 }
 
 /// Entry point behind every public runner: validate, resolve the
@@ -848,9 +847,9 @@ pub(crate) fn run_network_core(
 }
 
 /// The one event loop, monomorphized per discipline `Q` and byte mode
-/// (see [`run_network_core`]). `trace` is the effective trace mode
-/// (callers inside the crate may override `config.trace`, e.g. the
-/// summary fast path forcing [`TraceMode::Summary`]).
+/// (see [`run_network_core`]). `trace` says whether the traces are
+/// handed out ([`TraceMode::Full`]) or left in the arena for the
+/// summary fast path ([`TraceMode::Summary`]).
 #[allow(clippy::too_many_lines)]
 fn run_core<Q: QDisc, const BYTES: bool>(
     arena: &mut NetArena,
@@ -874,7 +873,7 @@ fn run_core<Q: QDisc, const BYTES: bool>(
     let sample_quotient = config.t_end / config.sample_interval;
     let last_sample_index = (sample_quotient * (1.0 + 1e-12) + 1e-9).floor() as u64;
 
-    arena.reset(k, flows, last_sample_index as usize + 1, trace);
+    arena.reset(k, flows, last_sample_index as usize + 1);
     // Move the scratch buffers into owned locals for the duration of
     // the loop — indexing through `&mut arena.field` keeps the Vec
     // headers behind a pointer and costs ~25% of the whole run; owned
@@ -1158,12 +1157,9 @@ fn run_core<Q: QDisc, const BYTES: bool>(
         }
     }
     // The sampling clock starts at t = 0 and schedules its successors
-    // from inside the Sample arm. Off mode schedules no samples at all:
-    // sampling draws no randomness and touches no dynamic state, so the
-    // counters cannot move.
-    if trace != TraceMode::Off {
-        ev.schedule_sample(0.0);
-    }
+    // from inside the Sample arm. Sampling draws no randomness and
+    // touches no dynamic state, so the cadence cannot move a counter.
+    ev.schedule_sample(0.0);
     let mut next_sample_index: u64 = 0;
 
     let any_decbit = flows
@@ -2039,7 +2035,7 @@ fn run_core<Q: QDisc, const BYTES: bool>(
     });
     // Full mode hands the trace buffers to the caller (the arena grows
     // fresh ones next run); Summary leaves them in the arena for
-    // `run_network_summary`; Off recorded nothing.
+    // `run_network_summary`.
     let (out_t, out_q, out_ctl) = if trace == TraceMode::Full {
         let out_t = std::mem::take(&mut trace_t);
         // A workload-only run has no per-flow control state: one empty
@@ -2122,7 +2118,6 @@ mod tests {
             warmup: 12.0,
             sample_interval: 0.1,
             seed: 17,
-            trace: TraceMode::Full,
             qdisc: QdiscKind::Fifo,
             packet_bytes: None,
         }
@@ -2150,6 +2145,36 @@ mod tests {
         assert!(out.mean_queue.iter().all(|&q| q >= 0.0));
         assert!(out.flows[0].delivered > 0);
         assert_eq!(out.flows[0].hops, 3);
+        // Lossless infinite-buffer books: every sent packet is delivered
+        // or still in flight.
+        let f = &out.flows[0];
+        assert_eq!(f.dropped, 0);
+        assert!(
+            f.sent >= f.delivered,
+            "sent {} < delivered {}",
+            f.sent,
+            f.delivered
+        );
+
+        // One aggressive flow across 2 hops with hop 0 the bottleneck:
+        // hop 0 caps the end-to-end throughput and holds the queue.
+        let mut cfg = net(2);
+        cfg.topology = Topology {
+            links: vec![link(50.0), link(100.0)],
+        };
+        cfg.t_end = 300.0;
+        cfg.warmup = 60.0;
+        let flows = vec![FlowSpec {
+            source: SourceSpec::Window {
+                aimd: WindowAimd::new(4.0, 0.5, 0.02, 20.0),
+                w0: 8.0,
+            },
+            route: Route::full(2),
+        }];
+        let out = run_network(&cfg, &flows).unwrap();
+        let tput = out.flows[0].throughput;
+        assert!(tput > 20.0 && tput <= 51.0, "throughput {tput}");
+        assert!(out.mean_queue[0] > out.mean_queue[1]);
     }
 
     #[test]
@@ -2216,6 +2241,17 @@ mod tests {
                 f.throughput
             );
         }
+        // Flows of 1, 2 and 3 hops all entering at hop 0: throughput
+        // falls with every extra hop.
+        let flows: Vec<FlowSpec> = (0..3)
+            .map(|last| window_flow(Route { first: 0, last }))
+            .collect();
+        let out = run_network(&cfg, &flows).unwrap();
+        let t: Vec<f64> = out.flows.iter().map(|f| f.throughput).collect();
+        assert!(
+            t[0] > t[1] && t[1] > t[2],
+            "throughput must fall with hop count: {t:?}"
+        );
     }
 
     #[test]
@@ -2309,24 +2345,46 @@ mod tests {
         let mut cfg = net(2);
         cfg.warmup = cfg.t_end;
         assert!(run_network(&cfg, &flows).is_err());
+        // A non-finite horizon or sampling period is a named error, not
+        // an overflow in the sample-count arithmetic; so is a finite
+        // horizon whose sample count would not fit the trace buffers.
+        let context = |f: &dyn Fn(&mut NetConfig)| {
+            let mut cfg = net(2);
+            f(&mut cfg);
+            match run_network(&cfg, &flows) {
+                Err(NumericsError::InvalidParameter { context }) => context,
+                other => panic!("expected InvalidParameter, got {other:?}"),
+            }
+        };
+        let non_finite = "NetConfig: t_end and sample_interval must be finite";
+        assert_eq!(context(&|c| c.t_end = f64::INFINITY), non_finite);
+        assert_eq!(context(&|c| c.t_end = f64::NAN), non_finite);
+        assert_eq!(context(&|c| c.sample_interval = f64::INFINITY), non_finite);
+        assert_eq!(
+            context(&|c| c.t_end = 1e300),
+            "NetConfig: t_end / sample_interval must stay below 2^32 samples"
+        );
     }
 
     #[test]
-    fn trace_modes_do_not_move_counters() {
+    fn sampling_cadence_does_not_move_counters() {
+        // Sampling only observes: a dense cadence, an endpoints-only
+        // cadence (Δ = t_end) and the arena summary path all run the
+        // same dynamics.
         let mut cfg = net(2);
         let flows = vec![window_flow(Route::full(2)), window_flow(Route::single(1))];
         let full = run_network(&cfg, &flows).unwrap();
-        cfg.trace = TraceMode::Off;
-        let off = run_network(&cfg, &flows).unwrap();
-        cfg.trace = TraceMode::Summary;
-        let summary = run_network(&cfg, &flows).unwrap();
-        assert!(!full.trace_t.is_empty());
-        assert!(off.trace_t.is_empty() && off.trace_q.is_empty() && off.trace_ctl.is_empty());
+        let summary =
+            run_network_core(&mut NetArena::new(), &cfg, &flows, None, TraceMode::Summary).unwrap();
+        cfg.sample_interval = cfg.t_end;
+        let sparse = run_network(&cfg, &flows).unwrap();
+        assert_eq!(full.trace_t.len(), 601);
+        assert_eq!(sparse.trace_t, vec![0.0, cfg.t_end]);
         assert!(
             summary.trace_t.is_empty(),
             "Summary keeps traces in the arena"
         );
-        for other in [&off, &summary] {
+        for other in [&sparse, &summary] {
             for (a, b) in full.flows.iter().zip(&other.flows) {
                 assert_eq!(a.sent, b.sent);
                 assert_eq!(a.delivered, b.delivered);

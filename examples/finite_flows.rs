@@ -18,7 +18,7 @@
 use fpk_repro::congestion::WindowAimd;
 use fpk_repro::sim::{
     run_network_workload, ArrivalProcess, FlowSizeDist, FlowSpec, Link, NetConfig, QdiscKind,
-    Route, Service, SourceSpec, Topology, TraceMode, Workload,
+    Route, Service, SourceSpec, Topology, Workload,
 };
 
 fn net(topology: Topology, t_end: f64, warmup: f64, seed: u64) -> NetConfig {
@@ -29,7 +29,6 @@ fn net(topology: Topology, t_end: f64, warmup: f64, seed: u64) -> NetConfig {
         warmup,
         sample_interval: 0.1,
         seed,
-        trace: TraceMode::Off,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     }

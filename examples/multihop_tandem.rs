@@ -19,7 +19,7 @@ use fpk_repro::congestion::{LinearExp, WindowAimd};
 use fpk_repro::sim::engine::{run_with_faults, FaultConfig};
 use fpk_repro::sim::{
     run, run_network, FlowSpec, Link, NetConfig, QdiscKind, Route, Service, SimConfig, SourceSpec,
-    Topology, TraceMode,
+    Topology,
 };
 
 fn main() {
@@ -51,7 +51,6 @@ fn main() {
         warmup: 60.0,
         sample_interval: 0.5,
         seed: 71,
-        trace: TraceMode::Full,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     };
@@ -175,7 +174,6 @@ fn main() {
         warmup: 40.0,
         sample_interval: 0.5,
         seed: 73,
-        trace: TraceMode::Full,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     };

@@ -8,18 +8,20 @@
 //! 1. **Golden constants** captured from the *pre-refactor* engines: the
 //!    unified engine must reproduce them bit-for-bit (same seed → same
 //!    counters, same trace sums, same f64 bit patterns).
+//!    The two tandem pins run the old tandem engine's configurations
+//!    as plain `run_network` topologies: one infinite-buffer link per
+//!    μ, window flows on contiguous routes, endpoints-only sampling.
 //! 2. **Shim equality**: `run`/`run_with_faults` versus `run_network` on
-//!    the equivalent 1-link topology, and `run_tandem` versus
-//!    `run_network` on the equivalent lossless K-link topology, must
-//!    agree exactly — guarding against the shims and the network API
-//!    drifting apart in the future.
+//!    the equivalent 1-link topology must agree exactly — guarding
+//!    against the shim and the network API drifting apart in the
+//!    future.
 
 use fpk_repro::congestion::decbit::DecbitPolicy;
 use fpk_repro::congestion::{LinearExp, WindowAimd};
 use fpk_repro::sim::{
-    run_network, run_network_workload, run_tandem, run_with_faults, ArrivalProcess, Bytes,
-    FaultConfig, FlowSizeDist, FlowSpec, NetConfig, PacketBytes, QdiscKind, Route, Service,
-    SimConfig, SourceSpec, TandemConfig, TandemFlow, Topology, TraceMode, Workload,
+    run_network, run_network_workload, run_with_faults, ArrivalProcess, Bytes, FaultConfig,
+    FlowSizeDist, FlowSpec, Link, NetConfig, NetResult, PacketBytes, QdiscKind, Route, Service,
+    SimConfig, SourceSpec, Topology, Workload,
 };
 
 fn mixed_sources() -> Vec<SourceSpec> {
@@ -142,29 +144,59 @@ fn single_link_goldens_deterministic_window() {
     assert_eq!(out.mean_queue.to_bits(), 0x401d_06a7_ef9d_b2c6);
 }
 
+/// The old tandem engine's setup as a `run_network` config: one
+/// infinite-buffer link per μ, no faults, FIFO, endpoints-only
+/// sampling, and AIMD window flows (`aimd.rtt` = 2 × per-hop delay) on
+/// the `(first, last)` routes.
+fn tandem_golden_run(
+    mu: &[f64],
+    service: Service,
+    (t_end, warmup, seed): (f64, f64, u64),
+    routes: &[(usize, usize)],
+) -> NetResult {
+    let config = NetConfig {
+        topology: Topology {
+            links: mu
+                .iter()
+                .map(|&mu| Link {
+                    mu,
+                    service,
+                    buffer: None,
+                })
+                .collect(),
+        },
+        faults: Vec::new(),
+        t_end,
+        warmup,
+        sample_interval: t_end,
+        seed,
+        qdisc: QdiscKind::Fifo,
+        packet_bytes: None,
+    };
+    let flows: Vec<FlowSpec> = routes
+        .iter()
+        .map(|&(first, last)| FlowSpec {
+            source: SourceSpec::Window {
+                aimd: WindowAimd::new(1.0, 0.5, 0.05, 10.0),
+                w0: 2.0,
+            },
+            route: Route { first, last },
+        })
+        .collect();
+    run_network(&config, &flows).unwrap()
+}
+
 /// Pre-refactor golden: 3-queue heterogeneous tandem (exponential
 /// service), one long flow + per-hop cross traffic, seed 99. The old
-/// `tandem.rs` private event loop produced exactly these counters.
+/// tandem engine's private event loop produced exactly these counters.
 #[test]
 fn tandem_goldens_exponential_parking_lot() {
-    let aimd = WindowAimd::new(1.0, 0.5, 0.05, 10.0);
-    let mk = |first: usize, last: usize| TandemFlow {
-        aimd,
-        w0: 2.0,
-        first_hop: first,
-        last_hop: last,
-    };
-    let out = run_tandem(
-        &TandemConfig {
-            mu: vec![100.0, 80.0, 120.0],
-            exponential_service: true,
-            t_end: 120.0,
-            warmup: 24.0,
-            seed: 99,
-        },
-        &[mk(0, 2), mk(0, 0), mk(1, 1), mk(2, 2)],
-    )
-    .unwrap();
+    let out = tandem_golden_run(
+        &[100.0, 80.0, 120.0],
+        Service::Exponential,
+        (120.0, 24.0, 99),
+        &[(0, 2), (0, 0), (1, 1), (2, 2)],
+    );
     let delivered: Vec<u64> = out.flows.iter().map(|f| f.delivered).collect();
     assert_eq!(delivered, vec![823, 7738, 6256, 9317]);
     let mq_bits: Vec<u64> = out.mean_queue.iter().map(|q| q.to_bits()).collect();
@@ -181,24 +213,12 @@ fn tandem_goldens_exponential_parking_lot() {
 /// Pre-refactor golden: deterministic-service tandem, seed 5.
 #[test]
 fn tandem_goldens_deterministic_service() {
-    let aimd = WindowAimd::new(1.0, 0.5, 0.05, 10.0);
-    let mk = |first: usize, last: usize| TandemFlow {
-        aimd,
-        w0: 2.0,
-        first_hop: first,
-        last_hop: last,
-    };
-    let out = run_tandem(
-        &TandemConfig {
-            mu: vec![60.0, 60.0],
-            exponential_service: false,
-            t_end: 90.0,
-            warmup: 18.0,
-            seed: 5,
-        },
-        &[mk(0, 1), mk(1, 1)],
-    )
-    .unwrap();
+    let out = tandem_golden_run(
+        &[60.0, 60.0],
+        Service::Deterministic,
+        (90.0, 18.0, 5),
+        &[(0, 1), (1, 1)],
+    );
     let delivered: Vec<u64> = out.flows.iter().map(|f| f.delivered).collect();
     assert_eq!(delivered, vec![1301, 2774]);
     let mq_bits: Vec<u64> = out.mean_queue.iter().map(|q| q.to_bits()).collect();
@@ -228,7 +248,6 @@ fn shim_matches_run_network_single_link() {
         warmup: cfg.warmup,
         sample_interval: cfg.sample_interval,
         seed: cfg.seed,
-        trace: TraceMode::Full,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     };
@@ -274,7 +293,6 @@ fn workload_with_zero_cap_matches_run_network() {
         warmup: 8.0,
         sample_interval: 0.1,
         seed: 2024,
-        trace: TraceMode::Full,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     };
@@ -335,7 +353,6 @@ fn byte_mode_with_unity_factor_matches_unit_fast_path() {
         warmup: 8.0,
         sample_interval: 0.1,
         seed: 2024,
-        trace: TraceMode::Full,
         qdisc: QdiscKind::Fifo,
         packet_bytes,
     };
@@ -379,62 +396,4 @@ fn byte_mode_with_unity_factor_matches_unit_fast_path() {
         ],
         "byte mode with unity factor moved off the golden counters"
     );
-}
-
-/// `run_tandem` ≡ `run_network` on the equivalent lossless K-link
-/// topology with pure window flows.
-#[test]
-fn shim_matches_run_network_tandem_shape() {
-    let aimd = WindowAimd::new(1.0, 0.5, 0.04, 8.0);
-    let legacy = [
-        TandemFlow {
-            aimd,
-            w0: 2.0,
-            first_hop: 0,
-            last_hop: 2,
-        },
-        TandemFlow {
-            aimd,
-            w0: 2.0,
-            first_hop: 1,
-            last_hop: 1,
-        },
-    ];
-    let cfg = TandemConfig {
-        mu: vec![90.0, 70.0, 110.0],
-        exponential_service: true,
-        t_end: 60.0,
-        warmup: 12.0,
-        seed: 13,
-    };
-    let via_shim = run_tandem(&cfg, &legacy).unwrap();
-
-    let via_net = run_network(
-        &cfg.to_net_config(),
-        &legacy
-            .iter()
-            .map(|f| FlowSpec {
-                source: SourceSpec::Window {
-                    aimd: f.aimd,
-                    w0: f.w0,
-                },
-                route: Route {
-                    first: f.first_hop,
-                    last: f.last_hop,
-                },
-            })
-            .collect::<Vec<_>>(),
-    )
-    .unwrap();
-
-    for (a, b) in via_shim.flows.iter().zip(&via_net.flows) {
-        assert_eq!(a.sent, b.sent);
-        assert_eq!(a.delivered, b.delivered);
-        assert_eq!(a.dropped, b.dropped);
-        assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
-        assert_eq!(a.hops, b.hops);
-    }
-    let shim_bits: Vec<u64> = via_shim.mean_queue.iter().map(|q| q.to_bits()).collect();
-    let net_bits: Vec<u64> = via_net.mean_queue.iter().map(|q| q.to_bits()).collect();
-    assert_eq!(shim_bits, net_bits);
 }

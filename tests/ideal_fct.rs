@@ -26,7 +26,7 @@ use fpk_repro::scenarios::{run_sweep_on, Axis, Ensemble, Scenario, Sweep};
 use fpk_repro::sim::{
     ideal_fct, ideal_fct_sized, run_network_workload, ArrivalProcess, Bytes, FaultConfig,
     FlowSizeDist, Link, NetConfig, PacketBytes, QdiscKind, Route, Service, SimConfig, Topology,
-    TraceMode, Workload,
+    Workload,
 };
 
 /// A workload-only `NetConfig` (no static flows, no faults).
@@ -38,7 +38,6 @@ fn net(topology: Topology, t_end: f64, warmup: f64, seed: u64) -> NetConfig {
         warmup,
         sample_interval: 0.1,
         seed,
-        trace: TraceMode::Off,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     }
@@ -56,15 +55,14 @@ fn idle_single_hop_fct_is_exact() {
     )
     .with_prop_delay(d)
     .with_max_flows(1);
-    let mut cfg = net(
+    let cfg = net(
         Topology::single(mu, Service::Deterministic, None),
         20.0,
         0.0,
         7,
     );
-    // Full trace on a zero-static-flow run: control rows must come back
+    // Traces of a zero-static-flow run: control rows must come back
     // empty (one per sample) rather than panicking.
-    cfg.trace = TraceMode::Full;
     let out = run_network_workload(&cfg, &[], &w).unwrap();
     assert_eq!(out.trace_ctl.len(), out.trace_t.len());
     assert!(out.trace_ctl.iter().all(Vec::is_empty));

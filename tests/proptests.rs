@@ -17,9 +17,10 @@
 //!   perturbs the first R−1 replication seeds;
 //! * the DES engine's hot-path contracts (DESIGN §"engine hot path"):
 //!   the hand-rolled indexed event queue pops any random stream in the
-//!   exact `(t, seq)` order of a reference `BinaryHeap`, and
-//!   `TraceMode::Off` runs produce bit-identical counters (and
-//!   `run_seeded` bit-identical summaries) to `TraceMode::Full` runs;
+//!   exact `(t, seq)` order of a reference `BinaryHeap`, and the trace
+//!   sampling cadence never moves a counter (an endpoints-only cadence
+//!   reproduces a dense one bit for bit, and the arena summary path
+//!   reproduces `summarize_network` of the full-trace run);
 //! * the workload samplers (DESIGN §3f): interarrival and flow-size
 //!   draws average to their analytic means at any fixed seed, Zipf
 //!   route weights normalise and order by popularity, and cumulative-
@@ -47,7 +48,7 @@ use fpk_repro::sim::{
 };
 use fpk_repro::sim::{
     run_network, summarize_network, FaultConfig, FlowSpec, Link, NetConfig, QdiscKind, Route,
-    RtoPolicy, Service, SimConfig, SourceSpec, Topology, TraceMode,
+    RtoPolicy, Service, SimConfig, SourceSpec, Topology,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -325,10 +326,11 @@ proptest! {
         hops in 1usize..4,
         w0 in 1.0f64..4.0,
     ) {
-        // DESIGN §"engine hot path": the trace mode only controls what
-        // is recorded, never the dynamics. Off must reproduce Full's
-        // counters bit for bit, and the arena summary fast path must
-        // reproduce `summarize_network` of the Full run bit for bit.
+        // DESIGN §"engine hot path": sampling only observes, never
+        // drives the dynamics. An endpoints-only cadence (Δ = t_end)
+        // must reproduce the dense run's counters bit for bit, and the
+        // arena summary fast path must reproduce `summarize_network` of
+        // the dense run bit for bit.
         let seed = seed_raw as u64;
         let flows = vec![
             FlowSpec {
@@ -349,7 +351,7 @@ proptest! {
                 route: Route::single(0),
             },
         ];
-        let mk = |trace: TraceMode| NetConfig {
+        let mk = |sample_interval: f64| NetConfig {
             topology: Topology::uniform(
                 hops,
                 Link {
@@ -361,17 +363,16 @@ proptest! {
             faults: Vec::new(),
             t_end: 6.0,
             warmup: 1.0,
-            sample_interval: 0.1,
+            sample_interval,
             seed,
-            trace,
             qdisc: QdiscKind::Fifo,
             packet_bytes: None,
         };
-        let full = run_network(&mk(TraceMode::Full), &flows).unwrap();
-        let off = run_network(&mk(TraceMode::Off), &flows).unwrap();
-        prop_assert!(off.trace_t.is_empty() && off.trace_q.is_empty() && off.trace_ctl.is_empty());
+        let full = run_network(&mk(0.1), &flows).unwrap();
+        let sparse = run_network(&mk(6.0), &flows).unwrap();
+        prop_assert_eq!(&sparse.trace_t, &vec![0.0, 6.0]);
         prop_assert_eq!(full.trace_t.len(), 61);
-        for (a, b) in full.flows.iter().zip(&off.flows) {
+        for (a, b) in full.flows.iter().zip(&sparse.flows) {
             prop_assert_eq!(a.sent, b.sent);
             prop_assert_eq!(a.delivered, b.delivered);
             prop_assert_eq!(a.dropped, b.dropped);
@@ -380,13 +381,13 @@ proptest! {
         let mq = |r: &fpk_repro::sim::NetResult| -> Vec<u64> {
             r.mean_queue.iter().map(|q| q.to_bits()).collect()
         };
-        prop_assert_eq!(mq(&full), mq(&off));
-        prop_assert_eq!(full.total_throughput.to_bits(), off.total_throughput.to_bits());
+        prop_assert_eq!(mq(&full), mq(&sparse));
+        prop_assert_eq!(full.total_throughput.to_bits(), sparse.total_throughput.to_bits());
 
         let reference = summarize_network(&full, 0.5).unwrap();
         let mut arena = fpk_repro::sim::NetArena::new();
         let fast =
-            fpk_repro::sim::run_network_summary(&mut arena, &mk(TraceMode::Full), &flows, 0.5)
+            fpk_repro::sim::run_network_summary(&mut arena, &mk(0.1), &flows, 0.5)
                 .unwrap();
         prop_assert_eq!(&fast.throughputs, &reference.throughputs);
         prop_assert_eq!(fast.jain.to_bits(), reference.jain.to_bits());
@@ -711,7 +712,6 @@ proptest! {
             warmup: 1.0,
             sample_interval: 0.5,
             seed,
-            trace: TraceMode::Off,
             qdisc: QdiscKind::Fifo,
             packet_bytes: None,
         };
@@ -773,7 +773,6 @@ proptest! {
                 warmup: 1.0,
                 sample_interval: 1.0,
                 seed: seed_raw as u64 + k as u64,
-                trace: TraceMode::Off,
                 qdisc: QdiscKind::Fifo,
                 packet_bytes: None,
             };

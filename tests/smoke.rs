@@ -13,7 +13,7 @@ use fpk_repro::congestion::{LinearExp, WindowAimd};
 use fpk_repro::fpk::{Density, FpProblem, FpSolver};
 use fpk_repro::sim::{
     run, run_network, run_with_faults, FaultConfig, FlowSpec, Link, NetConfig, QdiscKind, Route,
-    Service, SimConfig, SourceSpec, Topology, TraceMode,
+    Service, SimConfig, SourceSpec, Topology,
 };
 
 fn short_config(seed: u64) -> SimConfig {
@@ -348,7 +348,6 @@ fn des_network_parking_lot_rate_sources_smoke() {
         warmup: 3.0,
         sample_interval: 0.1,
         seed: 41,
-        trace: TraceMode::Full,
         qdisc: QdiscKind::Fifo,
         packet_bytes: None,
     };
