@@ -55,11 +55,20 @@ pub fn classify(rel: &str) -> FileClass {
     let nondet = rel.starts_with("crates/simulator/src/")
         || rel.starts_with("crates/scenarios/src/")
         || rel == "crates/numerics/src/par.rs";
+    // The event loop (`network.rs`) and the components it dispatches
+    // to (`hop.rs`, `traffic.rs`) are one engine: all three carry the
+    // panic audit and the draw audit, as does the workload samplers'
+    // file.
+    let engine = matches!(
+        rel,
+        "crates/simulator/src/network.rs"
+            | "crates/simulator/src/hop.rs"
+            | "crates/simulator/src/traffic.rs"
+    );
     FileClass {
         nondet,
-        panics: rel == "crates/simulator/src/network.rs",
-        draws: rel == "crates/simulator/src/network.rs"
-            || rel == "crates/simulator/src/workload.rs",
+        panics: engine,
+        draws: engine || rel == "crates/simulator/src/workload.rs",
     }
 }
 
@@ -140,5 +149,21 @@ mod tests {
         ] {
             assert!(!classify(rel).nondet, "{rel} is outside the nondet scope");
         }
+    }
+
+    #[test]
+    fn engine_components_get_the_panic_and_draw_audits() {
+        for rel in [
+            "crates/simulator/src/network.rs",
+            "crates/simulator/src/hop.rs",
+            "crates/simulator/src/traffic.rs",
+        ] {
+            let class = classify(rel);
+            assert!(class.panics && class.draws, "{rel} is engine code");
+        }
+        let class = classify("crates/simulator/src/workload.rs");
+        assert!(class.draws && !class.panics);
+        let class = classify("crates/simulator/src/qdisc.rs");
+        assert!(!class.draws && !class.panics);
     }
 }

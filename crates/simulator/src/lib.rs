@@ -58,10 +58,12 @@
 pub mod check;
 pub mod engine;
 pub mod event;
+mod hop;
 pub mod metrics;
 pub mod network;
 pub mod qdisc;
 pub mod source;
+mod traffic;
 pub mod units;
 pub mod workload;
 

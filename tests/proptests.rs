@@ -651,18 +651,18 @@ proptest! {
             max_p,
             weight,
         });
-        let mut state = [HopQdiscState::default()];
+        let mut state = HopQdiscState::default();
         let mut rng = StdRng::seed_from_u64(seed_raw as u64);
         let mut hull_max = 0.0f64;
         for (i, &q) in qs.iter().enumerate() {
             let t = i as f64 * 0.01;
-            let _ = RedMark::mark(&params, &mut state, 0, t, q as u64, false, 1.0, &mut rng);
+            let _ = RedMark::mark(&params, &mut state, t, q as u64, false, 1.0, &mut rng);
             hull_max = hull_max.max(q as f64);
             prop_assert!(
-                state[0].red_avg >= 0.0 && state[0].red_avg <= hull_max + 1e-12,
-                "EWMA {} escaped [0, {hull_max}]", state[0].red_avg
+                state.red_avg >= 0.0 && state.red_avg <= hull_max + 1e-12,
+                "EWMA {} escaped [0, {hull_max}]", state.red_avg
             );
-            let p = red_mark_probability(params.min_th, params.max_th, params.max_p, state[0].red_avg);
+            let p = red_mark_probability(params.min_th, params.max_th, params.max_p, state.red_avg);
             prop_assert!(
                 (0.0..=max_p).contains(&p),
                 "step {i}: p {p} outside [0, {max_p}]"
