@@ -341,6 +341,7 @@ impl EventQueue {
     /// one-slot channel sufficient.
     ///
     /// [`push`]: EventQueue::push
+    // lint: hot-path arena(keys, kinds)
     pub fn schedule_lane(&mut self, lane: usize, t: f64, kind: EventKind) {
         debug_assert!(t.is_finite(), "event time must be finite, got {t}");
         debug_assert!(
@@ -362,7 +363,6 @@ impl EventQueue {
     ///
     /// Event times must be finite; this is checked in debug builds only
     /// (the engine constructs every time as `now + positive offset`).
-    // lint: hot-path arena(keys, kinds)
     #[inline]
     pub fn push(&mut self, t: f64, kind: EventKind) {
         debug_assert!(t.is_finite(), "event time must be finite, got {t}");
@@ -385,7 +385,6 @@ impl EventQueue {
         self.keys[hole] = key;
         self.kinds[hole] = kind;
     }
-    // lint: end
 
     /// Schedule the periodic statistics sample at time `t` on lane 0
     /// (creating the lane if the caller never sized the lane set).
@@ -447,7 +446,6 @@ impl EventQueue {
     }
 
     /// Pop the heap minimum (ignores the merged sample channel).
-    // lint: hot-path arena(keys, kinds)
     fn pop_heap(&mut self) -> Option<Event> {
         let n = self.keys.len();
         if n == 0 {

@@ -161,6 +161,7 @@ impl SourceSpec {
     }
 }
 
+// lint: hot-path
 /// Apply one rate update: integrate the JRJ law over `dt` given the
 /// (stale) observed queue length. Linear increase integrates to
 /// `λ += C0·dt`; exponential decrease to `λ *= exp(−C1·dt)` — the exact
@@ -208,6 +209,7 @@ pub fn window_on_ack(aimd: &WindowAimd, state: &mut SourceState, marked: bool) {
         *cut_this_round = false;
     }
 }
+// lint: end
 
 #[cfg(test)]
 mod tests {

@@ -63,6 +63,7 @@ impl ArrivalProcess {
         }
     }
 
+    // lint: hot-path
     /// Draw one interarrival gap (seconds). Exactly one `f64` draw.
     pub fn sample_interarrival<R: Rng>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE); // draw: arrival.gap_u — shared interarrival uniform (Poisson and Pareto)
@@ -156,6 +157,7 @@ impl FlowSizeDist {
             }
         }
     }
+    // lint: end
 
     /// A bounded Pareto with the given `min` and `alpha` whose
     /// continuous mean equals `target_mean`, found by bisection on
@@ -236,6 +238,7 @@ pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
     raw.iter().map(|w| w / total).collect()
 }
 
+// lint: hot-path
 /// Index into cumulative weights `cum` (ascending, last ≈ 1.0) selected
 /// by a uniform draw `u ∈ [0, 1)`: the first entry with `cum[i] > u`.
 #[must_use]
@@ -275,6 +278,7 @@ impl RtoPolicy {
     pub fn wait_before(&self, attempt: u32) -> f64 {
         self.rto_base * self.backoff.powi(attempt.saturating_sub(1) as i32)
     }
+    // lint: end
 
     /// Validate the policy parameters.
     ///
@@ -456,6 +460,7 @@ pub fn ideal_fct(topology: &Topology, route: Route, size: u64, prop_delay: f64) 
 /// denominator — with a stochastic byte distribution the realised
 /// per-packet factors differ, so slowdown can dip below 1 exactly as
 /// it already can under exponential link service.
+// lint: hot-path
 #[must_use]
 pub fn ideal_fct_sized(
     topology: &Topology,
@@ -474,6 +479,7 @@ pub fn ideal_fct_sized(
         + sum_service
         + size_factor * (size.saturating_sub(1)) as f64 / mu_min
 }
+// lint: end
 
 /// Byte-granular packet sizing for a run (see
 /// [`NetConfig::packet_bytes`](crate::NetConfig::packet_bytes)).
