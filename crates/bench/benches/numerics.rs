@@ -1,10 +1,9 @@
 //! Criterion benchmarks of the numerical kernels: tridiagonal solves
-//! (the Crank–Nicolson hot path), spline fitting/evaluation, the
-//! adaptive ODE integrator and the advection sweep.
+//! (the Crank–Nicolson hot path), the adaptive ODE integrator and the
+//! advection sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fpk_core::fv::{advect_sweep, Limiter};
-use fpk_numerics::interp::CubicSpline;
 use fpk_numerics::linalg::solve_tridiagonal;
 use fpk_numerics::ode::{Dopri5, Dopri5Options};
 use std::hint::black_box;
@@ -27,26 +26,6 @@ fn bench_tridiagonal(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-fn bench_spline(c: &mut Criterion) {
-    c.bench_function("spline_fit_200", |b| {
-        let xs: Vec<f64> = (0..200).map(|i| i as f64 * 0.05).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x.sin()).collect();
-        b.iter(|| CubicSpline::fit(black_box(&xs), black_box(&ys)).expect("fit"));
-    });
-    c.bench_function("spline_eval_1000", |b| {
-        let xs: Vec<f64> = (0..200).map(|i| i as f64 * 0.05).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| x.sin()).collect();
-        let sp = CubicSpline::fit(&xs, &ys).expect("fit");
-        b.iter(|| {
-            let mut acc = 0.0;
-            for k in 0..1000 {
-                acc += sp.eval(black_box(k as f64 * 0.00999));
-            }
-            acc
-        });
-    });
 }
 
 fn bench_dopri5(c: &mut Criterion) {
@@ -92,6 +71,6 @@ fn bench_advect(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_tridiagonal, bench_spline, bench_dopri5, bench_advect
+    targets = bench_tridiagonal, bench_dopri5, bench_advect
 }
 criterion_main!(benches);

@@ -351,7 +351,7 @@ mod tests {
     }
 
     /// Tiny local RK4 fluid reference to avoid a circular dev-dependency
-    /// on fpk-fluid.
+    /// on fpk-fluid. Only the queue is clamped after each step.
     fn fpk_fluid_reference(
         q0: f64,
         lambda0: f64,
@@ -360,25 +360,21 @@ mod tests {
         t_end: f64,
     ) -> (f64, f64) {
         use fpk_congestion::RateControl;
-        let mut q = q0;
-        let mut l = lambda0;
+        use fpk_numerics::ode::Rk4;
+        let mut field = |_t: f64, y: &[f64], dydt: &mut [f64]| {
+            let (qe, l) = (y[0].max(0.0), y[1]);
+            dydt[0] = if qe <= 0.0 && l < mu { 0.0 } else { l - mu };
+            dydt[1] = law.g(qe, l);
+        };
         let dt = 1e-4;
         let steps = (t_end / dt) as usize;
-        for _ in 0..steps {
-            let f = |q: f64, l: f64| {
-                let qe = q.max(0.0);
-                let dq = if qe <= 0.0 && l < mu { 0.0 } else { l - mu };
-                (dq, law.g(qe, l))
-            };
-            let (k1q, k1l) = f(q, l);
-            let (k2q, k2l) = f(q + 0.5 * dt * k1q, l + 0.5 * dt * k1l);
-            let (k3q, k3l) = f(q + 0.5 * dt * k2q, l + 0.5 * dt * k2l);
-            let (k4q, k4l) = f(q + dt * k3q, l + dt * k3l);
-            q += dt / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q);
-            l += dt / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l);
-            q = q.max(0.0);
+        let mut rk4 = Rk4::new(2);
+        let mut y = [q0, lambda0];
+        for s in 0..steps {
+            rk4.step(&mut field, s as f64 * dt, &mut y, dt);
+            y[0] = y[0].max(0.0);
         }
-        (q, l)
+        (y[0], y[1])
     }
 
     #[test]

@@ -69,9 +69,17 @@ impl DelayParams {
                 context: "DelayParams: need lambda0.len() == taus.len() >= 1",
             });
         }
-        if !(self.mu > 0.0 && self.t_end > 0.0) || self.steps == 0 {
+        if ![self.mu, self.t_end]
+            .iter()
+            .all(|&v| v > 0.0 && v.is_finite())
+        {
             return Err(NumericsError::InvalidParameter {
-                context: "DelayParams: need mu, t_end > 0 and steps > 0",
+                context: "DelayParams: mu and t_end must be positive and finite",
+            });
+        }
+        if self.steps == 0 {
+            return Err(NumericsError::InvalidParameter {
+                context: "DelayParams: steps must be positive",
             });
         }
         if self.q0 < 0.0 || self.lambda0.iter().any(|&l| l < 0.0) {
@@ -79,9 +87,10 @@ impl DelayParams {
                 context: "DelayParams: initial conditions must be non-negative",
             });
         }
-        if self.taus.iter().any(|&t| !(t > 0.0)) {
+        if self.taus.iter().any(|&t| !(t > 0.0 && t.is_finite())) {
             return Err(NumericsError::InvalidParameter {
-                context: "DelayParams: delays must be positive (use multi:: for zero delay)",
+                context:
+                    "DelayParams: delays must be positive and finite (use multi:: for zero delay)",
             });
         }
         Ok(())
@@ -250,6 +259,33 @@ mod tests {
         let mut p3 = params_one(1.0);
         p3.mu = 0.0;
         assert!(simulate_delayed(&[law()], &p3).is_err());
+        // Infinite or NaN scales get a named error: an infinite horizon
+        // would overflow the DDE step count.
+        let rejection = |p: &DelayParams| match simulate_delayed(&[law()], p) {
+            Err(NumericsError::InvalidParameter { context }) => context,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        };
+        for bad in [f64::INFINITY, f64::NAN] {
+            let mut p = params_one(1.0);
+            p.t_end = bad;
+            assert_eq!(
+                rejection(&p),
+                "DelayParams: mu and t_end must be positive and finite"
+            );
+            let mut p = params_one(1.0);
+            p.mu = bad;
+            assert_eq!(
+                rejection(&p),
+                "DelayParams: mu and t_end must be positive and finite"
+            );
+            assert_eq!(
+                rejection(&params_one(bad)),
+                "DelayParams: delays must be positive and finite (use multi:: for zero delay)"
+            );
+        }
+        let mut p4 = params_one(1.0);
+        p4.steps = 0;
+        assert_eq!(rejection(&p4), "DelayParams: steps must be positive");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 
 use crate::single::queue_drift;
 use fpk_congestion::RateControl;
+use fpk_numerics::ode::Rk4;
 use fpk_numerics::{NumericsError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -87,9 +88,17 @@ pub fn simulate_multi<L: RateControl>(laws: &[L], params: &MultiParams) -> Resul
             context: "simulate_multi: need laws.len() == lambda0.len() >= 1",
         });
     }
-    if !(params.mu > 0.0 && params.t_end > 0.0 && params.dt > 0.0 && params.dt < params.t_end) {
+    if ![params.mu, params.t_end, params.dt]
+        .iter()
+        .all(|&v| v > 0.0 && v.is_finite())
+    {
         return Err(NumericsError::InvalidParameter {
-            context: "simulate_multi: need mu, dt, t_end > 0 and dt < t_end",
+            context: "simulate_multi: mu, t_end, dt must be positive and finite",
+        });
+    }
+    if params.dt >= params.t_end {
+        return Err(NumericsError::InvalidParameter {
+            context: "simulate_multi: dt must be smaller than t_end",
         });
     }
     if params.q0 < 0.0 || params.lambda0.iter().any(|&l| l < 0.0) {
@@ -100,56 +109,34 @@ pub fn simulate_multi<L: RateControl>(laws: &[L], params: &MultiParams) -> Resul
     let m = laws.len();
     let n_steps = (params.t_end / params.dt).ceil() as usize;
     let h = params.dt;
-    let mut q = params.q0;
-    let mut lam = params.lambda0.clone();
     let mut traj = MultiTrajectory {
         t: Vec::with_capacity(n_steps + 1),
         q: Vec::with_capacity(n_steps + 1),
         lambda: Vec::with_capacity(n_steps + 1),
     };
     traj.t.push(0.0);
-    traj.q.push(q);
-    traj.lambda.push(lam.clone());
+    traj.q.push(params.q0);
+    traj.lambda.push(params.lambda0.clone());
 
-    // Scratch buffers for RK4 stages (state = [q, λ_1..λ_m]).
-    let dim = m + 1;
-    let mut k = vec![vec![0.0; dim]; 4];
-    let mut ytmp = vec![0.0; dim];
-    let mut y = vec![0.0; dim];
+    // RK4 on the clamped vector field; state = [q, λ_1..λ_m].
+    let mut field = |_t: f64, state: &[f64], out: &mut [f64]| {
+        let q_eff = state[0].max(0.0);
+        let total: f64 = state[1..].iter().sum();
+        out[0] = queue_drift(q_eff, total, params.mu);
+        for (i, law) in laws.iter().enumerate() {
+            out[i + 1] = law.g(q_eff, state[i + 1]);
+        }
+    };
+    let mut rk4 = Rk4::new(m + 1);
+    let mut y = Vec::with_capacity(m + 1);
+    y.push(params.q0);
+    y.extend_from_slice(&params.lambda0);
     for step in 0..n_steps {
-        y[0] = q;
-        y[1..].copy_from_slice(&lam);
-        let eval = |state: &[f64], out: &mut [f64]| {
-            let q_eff = state[0].max(0.0);
-            let total: f64 = state[1..].iter().sum();
-            out[0] = queue_drift(q_eff, total, params.mu);
-            for (i, law) in laws.iter().enumerate() {
-                out[i + 1] = law.g(q_eff, state[i + 1]);
-            }
-        };
-        eval(&y, &mut k[0]);
-        for i in 0..dim {
-            ytmp[i] = y[i] + 0.5 * h * k[0][i];
-        }
-        eval(&ytmp, &mut k[1]);
-        for i in 0..dim {
-            ytmp[i] = y[i] + 0.5 * h * k[1][i];
-        }
-        eval(&ytmp, &mut k[2]);
-        for i in 0..dim {
-            ytmp[i] = y[i] + h * k[2][i];
-        }
-        eval(&ytmp, &mut k[3]);
-        for i in 0..dim {
-            y[i] += h / 6.0 * (k[0][i] + 2.0 * k[1][i] + 2.0 * k[2][i] + k[3][i]);
-        }
-        q = y[0].max(0.0);
-        for (li, yi) in lam.iter_mut().zip(y[1..].iter()) {
-            *li = yi.max(0.0);
-        }
+        rk4.step(&mut field, step as f64 * h, &mut y, h);
+        y.iter_mut().for_each(|v| *v = v.max(0.0));
         traj.t.push((step + 1) as f64 * h);
-        traj.q.push(q);
-        traj.lambda.push(lam.clone());
+        traj.q.push(y[0]);
+        traj.lambda.push(y[1..].to_vec());
     }
     Ok(traj)
 }
@@ -227,6 +214,27 @@ mod tests {
         p.lambda0 = vec![1.0, 1.0];
         p.mu = -1.0;
         assert!(simulate_multi(&laws, &p).is_err());
+        // Infinite or NaN scales get a named error: an infinite horizon
+        // would overflow the step count.
+        let finite = NumericsError::InvalidParameter {
+            context: "simulate_multi: mu, t_end, dt must be positive and finite",
+        };
+        for bad in [f64::INFINITY, f64::NAN] {
+            for field in 0..3 {
+                let mut p = params(2);
+                *[&mut p.mu, &mut p.t_end, &mut p.dt][field] = bad;
+                let err = simulate_multi(&laws, &p).unwrap_err();
+                assert_eq!(err, finite, "field {field} = {bad}");
+            }
+        }
+        let mut p = params(2);
+        p.dt = p.t_end;
+        assert_eq!(
+            simulate_multi(&laws, &p).unwrap_err(),
+            NumericsError::InvalidParameter {
+                context: "simulate_multi: dt must be smaller than t_end",
+            }
+        );
     }
 
     #[test]
@@ -256,10 +264,14 @@ mod tests {
             dt: 1e-3,
         };
         let ts = crate::single::simulate(&law, &p_single).unwrap();
-        let (qm, lm) = (tm.q.last().unwrap(), tm.lambda.last().unwrap()[0]);
-        let (qs, ls) = ts.final_state();
-        assert!((qm - qs).abs() < 1e-6, "q {qm} vs {qs}");
-        assert!((lm - ls).abs() < 1e-6, "lambda {lm} vs {ls}");
+        // Both paths step through the same `Rk4`, so every sample agrees
+        // to the bit.
+        assert_eq!(tm.t.len(), ts.t.len());
+        for k in 0..ts.t.len() {
+            assert_eq!(tm.q[k].to_bits(), ts.q[k].to_bits(), "q at sample {k}");
+            let (lm, ls) = (tm.lambda[k][0], ts.lambda[k]);
+            assert_eq!(lm.to_bits(), ls.to_bits(), "lambda at sample {k}");
+        }
     }
 
     #[test]

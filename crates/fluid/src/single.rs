@@ -1,13 +1,15 @@
 //! Single-source fluid model: `dQ/dt = λ − μ`, `dλ/dt = g(Q, λ)`.
 //!
-//! Integration uses fixed-step RK4: the right-hand side is discontinuous
-//! across the switching line `Q = q̂` and the boundary `Q = 0`, so an
-//! adaptive error estimator would thrash; a small fixed step with
-//! post-step clamping is both faster and more predictable here. The
-//! clamping implements the paper's convention `ν(t) = 0 if Q(t) = 0 and
-//! λ(t) < μ` (the queue cannot drain below empty).
+//! Integration uses fixed-step RK4 ([`fpk_numerics::ode::Rk4`]): the
+//! right-hand side is discontinuous across the switching line `Q = q̂`
+//! and the boundary `Q = 0`, so an adaptive error estimator would
+//! thrash; a small fixed step with post-step clamping is both faster and
+//! more predictable here. The clamping implements the paper's convention
+//! `ν(t) = 0 if Q(t) = 0 and λ(t) < μ` (the queue cannot drain below
+//! empty).
 
 use fpk_congestion::RateControl;
+use fpk_numerics::ode::Rk4;
 use fpk_numerics::{NumericsError, Result};
 use serde::{Deserialize, Serialize};
 
@@ -30,12 +32,15 @@ impl FluidParams {
     /// Validate the parameter set.
     ///
     /// # Errors
-    /// [`NumericsError::InvalidParameter`] for non-positive `mu`, `t_end`
-    /// or `dt`, or negative initial conditions.
+    /// [`NumericsError::InvalidParameter`] for non-positive or non-finite
+    /// `mu`, `t_end` or `dt`, or negative initial conditions.
     pub fn validate(&self) -> Result<()> {
-        if !(self.mu > 0.0) || !(self.t_end > 0.0) || !(self.dt > 0.0) {
+        if ![self.mu, self.t_end, self.dt]
+            .iter()
+            .all(|&v| v > 0.0 && v.is_finite())
+        {
             return Err(NumericsError::InvalidParameter {
-                context: "FluidParams: mu, t_end, dt must be positive",
+                context: "FluidParams: mu, t_end, dt must be positive and finite",
             });
         }
         if self.q0 < 0.0 || self.lambda0 < 0.0 {
@@ -126,36 +131,30 @@ pub fn queue_drift(q: f64, total_lambda: f64, mu: f64) -> f64 {
 pub fn simulate<L: RateControl>(law: &L, params: &FluidParams) -> Result<FluidTrajectory> {
     params.validate()?;
     let n_steps = (params.t_end / params.dt).ceil() as usize;
-    let mut q = params.q0;
-    let mut lambda = params.lambda0;
     let mut traj = FluidTrajectory {
         t: Vec::with_capacity(n_steps + 1),
         q: Vec::with_capacity(n_steps + 1),
         lambda: Vec::with_capacity(n_steps + 1),
     };
     traj.t.push(0.0);
-    traj.q.push(q);
-    traj.lambda.push(lambda);
+    traj.q.push(params.q0);
+    traj.lambda.push(params.lambda0);
     let h = params.dt;
+    // RK4 on the clamped vector field; state = [q, λ].
+    let mut field = |_t: f64, y: &[f64], dydt: &mut [f64]| {
+        let q_eff = y[0].max(0.0);
+        dydt[0] = queue_drift(q_eff, y[1], params.mu);
+        dydt[1] = law.g(q_eff, y[1]);
+    };
+    let mut rk4 = Rk4::new(2);
+    let mut y = [params.q0, params.lambda0];
     for step in 0..n_steps {
-        // RK4 on the clamped vector field.
-        let f = |q: f64, l: f64| -> (f64, f64) {
-            let q_eff = q.max(0.0);
-            (queue_drift(q_eff, l, params.mu), law.g(q_eff, l))
-        };
-        let (k1q, k1l) = f(q, lambda);
-        let (k2q, k2l) = f(q + 0.5 * h * k1q, lambda + 0.5 * h * k1l);
-        let (k3q, k3l) = f(q + 0.5 * h * k2q, lambda + 0.5 * h * k2l);
-        let (k4q, k4l) = f(q + h * k3q, lambda + h * k3l);
-        q += h / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q);
-        lambda += h / 6.0 * (k1l + 2.0 * k2l + 2.0 * k3l + k4l);
+        rk4.step(&mut field, step as f64 * h, &mut y, h);
         // Clamps: the queue cannot be negative; rates cannot go negative.
-        q = q.max(0.0);
-        lambda = lambda.max(0.0);
-        let t = (step + 1) as f64 * h;
-        traj.t.push(t);
-        traj.q.push(q);
-        traj.lambda.push(lambda);
+        y = y.map(|v| v.max(0.0));
+        traj.t.push((step + 1) as f64 * h);
+        traj.q.push(y[0]);
+        traj.lambda.push(y[1]);
     }
     Ok(traj)
 }
@@ -187,6 +186,23 @@ mod tests {
         let mut p3 = std_params();
         p3.dt = p3.t_end + 1.0;
         assert!(p3.validate().is_err());
+        // Infinite or NaN scales get a named error: an infinite horizon
+        // would overflow the step count.
+        let finite = "FluidParams: mu, t_end, dt must be positive and finite";
+        for bad in [f64::INFINITY, f64::NAN] {
+            for field in 0..3 {
+                let mut p = std_params();
+                *[&mut p.mu, &mut p.t_end, &mut p.dt][field] = bad;
+                assert_eq!(
+                    p.validate(),
+                    Err(NumericsError::InvalidParameter { context: finite }),
+                    "field {field} = {bad}"
+                );
+            }
+        }
+        let mut p4 = std_params();
+        p4.t_end = f64::INFINITY;
+        assert!(simulate(&LinearExp::standard(), &p4).is_err());
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! t0 + k·τ. A fixed step that divides τ keeps those points on the grid;
 //! [`DdeProblem::solve`] snaps the step to the smallest lag when possible.
 
-use crate::interp::{hermite, hermite_deriv};
-use crate::ode::Trajectory;
+use crate::ode::{Rk4, Trajectory};
 use crate::{NumericsError, Result};
 
 /// Right-hand side of a DDE. `delayed[k]` holds `y(t − lags[k])`.
@@ -37,7 +36,7 @@ impl<F: FnMut(f64, &[f64], &[Vec<f64>], &mut [f64])> DdeRhs for F {
 /// Dense solution history: time-ordered `(t, y, dy/dt)` samples with cubic
 /// Hermite evaluation between them.
 #[derive(Debug, Clone, Default)]
-pub struct History {
+struct History {
     t: Vec<f64>,
     y: Vec<Vec<f64>>,
     dy: Vec<Vec<f64>>,
@@ -45,28 +44,16 @@ pub struct History {
 
 impl History {
     /// Append a sample; times must be pushed in increasing order.
-    pub fn push(&mut self, t: f64, y: Vec<f64>, dy: Vec<f64>) {
+    fn push(&mut self, t: f64, y: Vec<f64>, dy: Vec<f64>) {
         debug_assert!(self.t.last().is_none_or(|&last| t > last));
         self.t.push(t);
         self.y.push(y);
         self.dy.push(dy);
     }
 
-    /// Number of stored samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.t.len()
-    }
-
-    /// Whether the history is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.t.is_empty()
-    }
-
     /// Evaluate the interpolant at time `tq`, writing into `out`.
     /// Clamps to the first/last sample outside the stored range.
-    pub fn eval(&self, tq: f64, out: &mut [f64]) {
+    fn eval(&self, tq: f64, out: &mut [f64]) {
         let n = self.t.len();
         debug_assert!(n > 0, "History::eval on empty history");
         if tq <= self.t[0] {
@@ -88,48 +75,23 @@ impl History {
                 hi = mid;
             }
         }
-        for i in 0..out.len() {
-            out[i] = hermite(
-                self.t[lo],
-                self.y[lo][i],
-                self.dy[lo][i],
-                self.t[hi],
-                self.y[hi][i],
-                self.dy[hi][i],
-                tq,
-            );
+        let (y0, d0, y1, d1) = (&self.y[lo], &self.dy[lo], &self.y[hi], &self.dy[hi]);
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = hermite(self.t[lo], y0[i], d0[i], self.t[hi], y1[i], d1[i], tq);
         }
     }
+}
 
-    /// Evaluate the interpolant derivative at `tq` (zero outside range).
-    pub fn eval_deriv(&self, tq: f64, out: &mut [f64]) {
-        let n = self.t.len();
-        if n == 0 || tq <= self.t[0] || tq >= self.t[n - 1] {
-            out.iter_mut().for_each(|v| *v = 0.0);
-            return;
-        }
-        let mut lo = 0usize;
-        let mut hi = n - 1;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.t[mid] <= tq {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        for i in 0..out.len() {
-            out[i] = hermite_deriv(
-                self.t[lo],
-                self.y[lo][i],
-                self.dy[lo][i],
-                self.t[hi],
-                self.y[hi][i],
-                self.dy[hi][i],
-                tq,
-            );
-        }
-    }
+/// Cubic Hermite interpolation on one interval `[x0, x1]` given endpoint
+/// values `y0, y1` and slopes `d0, d1`.
+fn hermite(x0: f64, y0: f64, d0: f64, x1: f64, y1: f64, d1: f64, x: f64) -> f64 {
+    let h = x1 - x0;
+    let t = (x - x0) / h;
+    let h00 = (1.0 + 2.0 * t) * (1.0 - t) * (1.0 - t);
+    let h10 = t * (1.0 - t) * (1.0 - t);
+    let h01 = t * t * (3.0 - 2.0 * t);
+    let h11 = t * t * (t - 1.0);
+    h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
 }
 
 /// A constant-lag DDE initial-value problem.
@@ -154,22 +116,23 @@ impl DdeProblem<'_> {
     /// Returns the trajectory sampled at every accepted step.
     ///
     /// # Errors
-    /// [`NumericsError::InvalidParameter`] for non-positive lags, empty
-    /// lag list, `t1 <= t0`, or `steps_hint == 0`.
+    /// [`NumericsError::InvalidParameter`] for non-positive or infinite
+    /// lags, an empty lag list, `t1 <= t0`, an infinite span, or
+    /// `steps_hint == 0`.
     pub fn solve<R: DdeRhs>(&self, rhs: &mut R, steps_hint: usize) -> Result<Trajectory> {
         if self.lags.is_empty() {
             return Err(NumericsError::InvalidParameter {
                 context: "DdeProblem: need at least one lag (use ode:: for none)",
             });
         }
-        if self.lags.iter().any(|&l| !(l > 0.0)) {
+        if self.lags.iter().any(|&l| !(l > 0.0 && l.is_finite())) {
             return Err(NumericsError::InvalidParameter {
-                context: "DdeProblem: lags must be positive",
+                context: "DdeProblem: lags must be positive and finite",
             });
         }
-        if !(self.t1 > self.t0) {
+        if !(self.t1 > self.t0 && (self.t1 - self.t0).is_finite()) {
             return Err(NumericsError::InvalidParameter {
-                context: "DdeProblem: t1 must exceed t0",
+                context: "DdeProblem: t1 - t0 must be positive and finite",
             });
         }
         if steps_hint == 0 {
@@ -180,12 +143,10 @@ impl DdeProblem<'_> {
         let span = self.t1 - self.t0;
         let mut h = span / steps_hint as f64;
         let tau_min = self.lags.iter().cloned().fold(f64::INFINITY, f64::min);
-        // Snap h so tau_min / h is an integer (when tau_min is within the
-        // integration span scale); improves accuracy at breaking points.
-        if tau_min.is_finite() && tau_min > 0.0 {
-            let k = (tau_min / h).ceil().max(1.0);
-            h = tau_min / k;
-        }
+        // Snap h so tau_min / h is an integer; improves accuracy at
+        // breaking points.
+        let k = (tau_min / h).ceil().max(1.0);
+        h = tau_min / k;
         let n_steps = (span / h).ceil() as usize;
         let dim = self.dim;
 
@@ -223,19 +184,16 @@ impl DdeProblem<'_> {
 
         let m = self.lags.len();
         let mut delayed: Vec<Vec<f64>> = vec![vec![0.0; dim]; m];
-        let mut k1 = vec![0.0; dim];
-        let mut k2 = vec![0.0; dim];
-        let mut k3 = vec![0.0; dim];
-        let mut k4 = vec![0.0; dim];
-        let mut ytmp = vec![0.0; dim];
+        let mut dy = vec![0.0; dim];
+        let mut rk4 = Rk4::new(dim);
 
         // Record the initial derivative into history so the first interval
         // interpolates correctly.
         for (k, &lag) in self.lags.iter().enumerate() {
             history.eval(self.t0 - lag, &mut delayed[k]);
         }
-        rhs.eval(self.t0, &y, &delayed, &mut k1);
-        history.push(self.t0, y.clone(), k1.clone());
+        rhs.eval(self.t0, &y, &delayed, &mut dy);
+        history.push(self.t0, y.clone(), dy.clone());
 
         let mut t = self.t0;
         for step in 0..n_steps {
@@ -244,33 +202,13 @@ impl DdeProblem<'_> {
                 break;
             }
             // RK4 stages with delayed lookups at the stage times.
-            let stage = |ts: f64,
-                         ys: &[f64],
-                         kout: &mut [f64],
-                         delayed: &mut [Vec<f64>],
-                         rhs: &mut R,
-                         history: &History| {
+            let mut stage = |ts: f64, ys: &[f64], kout: &mut [f64]| {
                 for (k, &lag) in self.lags.iter().enumerate() {
                     history.eval(ts - lag, &mut delayed[k]);
                 }
-                rhs.eval(ts, ys, delayed, kout);
+                rhs.eval(ts, ys, &delayed, kout);
             };
-            stage(t, &y, &mut k1, &mut delayed, rhs, &history);
-            for i in 0..dim {
-                ytmp[i] = y[i] + 0.5 * h_eff * k1[i];
-            }
-            stage(t + 0.5 * h_eff, &ytmp, &mut k2, &mut delayed, rhs, &history);
-            for i in 0..dim {
-                ytmp[i] = y[i] + 0.5 * h_eff * k2[i];
-            }
-            stage(t + 0.5 * h_eff, &ytmp, &mut k3, &mut delayed, rhs, &history);
-            for i in 0..dim {
-                ytmp[i] = y[i] + h_eff * k3[i];
-            }
-            stage(t + h_eff, &ytmp, &mut k4, &mut delayed, rhs, &history);
-            for i in 0..dim {
-                y[i] += h_eff / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-            }
+            rk4.step(&mut stage, t, &mut y, h_eff);
             t = self.t0 + (step + 1) as f64 * h;
             if t > self.t1 {
                 t = self.t1;
@@ -279,8 +217,8 @@ impl DdeProblem<'_> {
             for (k, &lag) in self.lags.iter().enumerate() {
                 history.eval(t - lag, &mut delayed[k]);
             }
-            rhs.eval(t, &y, &delayed, &mut k1);
-            history.push(t, y.clone(), k1.clone());
+            rhs.eval(t, &y, &delayed, &mut dy);
+            history.push(t, y.clone(), dy.clone());
             traj.t.push(t);
             traj.y.push(y.clone());
             if (t - self.t1).abs() < 1e-14 {
@@ -413,34 +351,38 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rejects_bad_parameters() {
+    /// The context string `solve` rejects `(lags, t0, t1)` with.
+    fn rejection(lags: &[f64], t0: f64, t1: f64) -> &'static str {
         let phi = |_t: f64, out: &mut [f64]| out[0] = 1.0;
         let mut rhs = |_t: f64, _y: &[f64], _d: &[Vec<f64>], d: &mut [f64]| d[0] = 0.0;
-        let bad_lag = DdeProblem {
-            lags: &[0.0],
-            t0: 0.0,
-            t1: 1.0,
+        let problem = DdeProblem {
+            lags,
+            t0,
+            t1,
             phi: &phi,
             dim: 1,
         };
-        assert!(bad_lag.solve(&mut rhs, 10).is_err());
-        let no_lag = DdeProblem {
-            lags: &[],
-            t0: 0.0,
-            t1: 1.0,
-            phi: &phi,
-            dim: 1,
-        };
-        assert!(no_lag.solve(&mut rhs, 10).is_err());
-        let bad_span = DdeProblem {
-            lags: &[1.0],
-            t0: 1.0,
-            t1: 1.0,
-            phi: &phi,
-            dim: 1,
-        };
-        assert!(bad_span.solve(&mut rhs, 10).is_err());
+        match problem.solve(&mut rhs, 10) {
+            Err(NumericsError::InvalidParameter { context }) => context,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_bad_parameters() {
+        let lags = "DdeProblem: lags must be positive and finite";
+        assert_eq!(rejection(&[0.0], 0.0, 1.0), lags);
+        assert_eq!(rejection(&[f64::INFINITY], 0.0, 1.0), lags);
+        assert_eq!(rejection(&[f64::NAN], 0.0, 1.0), lags);
+        assert_eq!(
+            rejection(&[], 0.0, 1.0),
+            "DdeProblem: need at least one lag (use ode:: for none)"
+        );
+        let span = "DdeProblem: t1 - t0 must be positive and finite";
+        assert_eq!(rejection(&[1.0], 1.0, 1.0), span);
+        assert_eq!(rejection(&[1.0], 0.0, f64::INFINITY), span);
+        assert_eq!(rejection(&[1.0], f64::NEG_INFINITY, 0.0), span);
+        assert_eq!(rejection(&[1.0], 0.0, f64::NAN), span);
     }
 
     #[test]
@@ -455,5 +397,16 @@ mod tests {
         assert!(approx_eq(out[0], 1.0, 0.0, 0.0));
         h.eval(0.5, &mut out);
         assert!(approx_eq(out[0], 0.5, 1e-12, 1e-12)); // linear data
+    }
+
+    #[test]
+    fn hermite_reproduces_cubic() {
+        // p(x) = x^3 on [1, 2]: values and slopes at ends determine it.
+        let f = |x: f64| x * x * x;
+        let d = |x: f64| 3.0 * x * x;
+        for &x in &[1.0, 1.25, 1.5, 1.75, 2.0] {
+            let v = hermite(1.0, f(1.0), d(1.0), 2.0, f(2.0), d(2.0), x);
+            assert!(approx_eq(v, f(x), 1e-13, 1e-13), "x={x}: {v} vs {}", f(x));
+        }
     }
 }

@@ -8,18 +8,17 @@
 //! # Modules
 //!
 //! * [`grid`] — uniform cell-centred 1-D and 2-D grids with ghost cells.
-//! * [`ode`] — fixed-step (Euler, Heun, RK4) and adaptive (Dormand–Prince
-//!   RK45) initial-value integrators with dense output and event location.
+//! * [`ode`] — the fixed-step RK4 stepper shared by the fluid and delay
+//!   models, and the adaptive Dormand–Prince RK45 integrator with dense
+//!   output and event location.
 //! * [`dde`] — constant-lag delay differential equations via the method of
 //!   steps with cubic-Hermite history interpolation.
-//! * [`linalg`] — tridiagonal (Thomas) and banded solvers, small dense ops.
-//! * [`interp`] — linear, cubic-Hermite and natural-cubic-spline
-//!   interpolation.
-//! * [`roots`] — bisection and Brent root finding.
+//! * [`linalg`] — the tridiagonal (Thomas) solver.
+//! * [`roots`] — Brent root finding.
 //! * [`signal`] — peak detection, oscillation amplitude/period estimation,
-//!   damping fits and steady-state detection.
-//! * [`stats`] — running moments, histograms, empirical CDFs, KS distance,
-//!   autocorrelation.
+//!   regime classification and power-law fits.
+//! * [`stats`] — running moments, slice mean/variance, and the KS distance
+//!   of a sample from a gridded density.
 //! * [`par`] — the persistent worker pool every parallel layer runs on
 //!   (sweeps and the Langevin ensemble), with its `FPK_THREADS` width.
 //!
@@ -55,7 +54,6 @@
 
 pub mod dde;
 pub mod grid;
-pub mod interp;
 pub mod linalg;
 pub mod ode;
 pub mod par;
@@ -126,10 +124,11 @@ impl std::error::Error for NumericsError {}
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, NumericsError>;
 
-/// Relative-plus-absolute closeness test used by tests and convergence
-/// checks: `|a - b| <= atol + rtol * max(|a|, |b|)`.
+/// Relative-plus-absolute closeness test shared by the unit tests:
+/// `|a - b| <= atol + rtol * max(|a|, |b|)`.
+#[cfg(test)]
 #[must_use]
-pub fn approx_eq(a: f64, b: f64, rtol: f64, atol: f64) -> bool {
+pub(crate) fn approx_eq(a: f64, b: f64, rtol: f64, atol: f64) -> bool {
     (a - b).abs() <= atol + rtol * a.abs().max(b.abs())
 }
 

@@ -4,8 +4,7 @@
 //! Fokker–Planck equation (Section 5 of the paper) are systems
 //! `dy/dt = F(t, y)`. This module provides:
 //!
-//! * fixed-step explicit methods — [`euler_step`], [`heun_step`],
-//!   [`rk4_step`] and the driver [`integrate_fixed`];
+//! * the fixed-step classical Runge–Kutta stepper [`Rk4`];
 //! * the adaptive Dormand–Prince 5(4) pair ([`Dopri5`]) with PI step-size
 //!   control and third-order Hermite dense output;
 //! * switching-surface *event location* ([`Dopri5::integrate_with_event`]),
@@ -29,75 +28,73 @@ impl<F: FnMut(f64, &[f64], &mut [f64])> Rhs for F {
     }
 }
 
-/// One explicit Euler step: `y ← y + h·F(t, y)`. First order.
-pub fn euler_step<R: Rhs>(rhs: &mut R, t: f64, y: &mut [f64], h: f64, scratch: &mut [f64]) {
-    rhs.eval(t, y, scratch);
-    for (yi, ki) in y.iter_mut().zip(scratch.iter()) {
-        *yi += h * ki;
+/// Classical fourth-order Runge–Kutta with fixed steps: the one fixed-step
+/// integrator of the workspace. The fluid models (`fpk_fluid::single`,
+/// `fpk_fluid::multi`) and the delay solver ([`crate::dde`]) each call
+/// [`Rk4::step`] once per step and apply their own clamps between steps.
+///
+/// The stepper owns its stage scratch, so a run allocates once.
+///
+/// ```
+/// use fpk_numerics::ode::Rk4;
+/// // dy/dt = -y from y(0) = 1: 100 steps of 0.01 reach e^{-1}.
+/// let mut rk4 = Rk4::new(1);
+/// let mut y = [1.0];
+/// let mut decay = |_t: f64, y: &[f64], dydt: &mut [f64]| dydt[0] = -y[0];
+/// for s in 0..100 {
+///     rk4.step(&mut decay, s as f64 * 0.01, &mut y, 0.01);
+/// }
+/// assert!((y[0] - (-1.0f64).exp()).abs() < 1e-9);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Rk4 {
+    k: [Vec<f64>; 4],
+    tmp: Vec<f64>,
+}
+
+impl Rk4 {
+    /// A stepper for states of dimension `dim`.
+    #[must_use]
+    pub fn new(dim: usize) -> Self {
+        Self {
+            k: std::array::from_fn(|_| vec![0.0; dim]),
+            tmp: vec![0.0; dim],
+        }
+    }
+
+    /// Advance `y` from `t` to `t + h` in place:
+    /// `y ← y + h/6·(k1 + 2k2 + 2k3 + k4)`, with stage states `y + ½h·k1`,
+    /// `y + ½h·k2` and `y + h·k3`.
+    ///
+    /// # Panics
+    /// Panics when `y.len()` differs from the dimension given to
+    /// [`Rk4::new`].
+    pub fn step<R: Rhs>(&mut self, rhs: &mut R, t: f64, y: &mut [f64], h: f64) {
+        let n = y.len();
+        assert_eq!(n, self.tmp.len(), "Rk4::step: state dimension");
+        // Slicing every buffer to `n` lets the loops below drop their
+        // bounds checks and unroll for small fixed dimensions.
+        let [k1, k2, k3, k4] = self.k.each_mut().map(|k| &mut k[..n]);
+        let tmp = &mut self.tmp[..n];
+        rhs.eval(t, y, k1);
+        offset(tmp, y, 0.5 * h, k1);
+        rhs.eval(t + 0.5 * h, tmp, k2);
+        offset(tmp, y, 0.5 * h, k2);
+        rhs.eval(t + 0.5 * h, tmp, k3);
+        offset(tmp, y, h, k3);
+        rhs.eval(t + h, tmp, k4);
+        let ks = k1.iter().zip(&*k2).zip(&*k3).zip(&*k4);
+        for (yi, (((a, b), c), d)) in y.iter_mut().zip(ks) {
+            *yi += h / 6.0 * (a + 2.0 * b + 2.0 * c + d);
+        }
     }
 }
 
-/// One Heun (explicit trapezoid) step. Second order.
-pub fn heun_step<R: Rhs>(
-    rhs: &mut R,
-    t: f64,
-    y: &mut [f64],
-    h: f64,
-    k1: &mut [f64],
-    k2: &mut [f64],
-    ytmp: &mut [f64],
-) {
-    rhs.eval(t, y, k1);
-    for i in 0..y.len() {
-        ytmp[i] = y[i] + h * k1[i];
+/// Stage state `out = y + c·k`.
+fn offset(out: &mut [f64], y: &[f64], c: f64, k: &[f64]) {
+    for ((o, yi), ki) in out.iter_mut().zip(y).zip(k) {
+        *o = yi + c * ki;
     }
-    rhs.eval(t + h, ytmp, k2);
-    for i in 0..y.len() {
-        y[i] += 0.5 * h * (k1[i] + k2[i]);
-    }
-}
-
-/// One classical fourth-order Runge–Kutta step.
-#[allow(clippy::too_many_arguments)]
-pub fn rk4_step<R: Rhs>(
-    rhs: &mut R,
-    t: f64,
-    y: &mut [f64],
-    h: f64,
-    k1: &mut [f64],
-    k2: &mut [f64],
-    k3: &mut [f64],
-    k4: &mut [f64],
-    ytmp: &mut [f64],
-) {
-    let n = y.len();
-    rhs.eval(t, y, k1);
-    for i in 0..n {
-        ytmp[i] = y[i] + 0.5 * h * k1[i];
-    }
-    rhs.eval(t + 0.5 * h, ytmp, k2);
-    for i in 0..n {
-        ytmp[i] = y[i] + 0.5 * h * k2[i];
-    }
-    rhs.eval(t + 0.5 * h, ytmp, k3);
-    for i in 0..n {
-        ytmp[i] = y[i] + h * k3[i];
-    }
-    rhs.eval(t + h, ytmp, k4);
-    for i in 0..n {
-        y[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
-}
-
-/// Fixed-step integration method selector for [`integrate_fixed`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FixedMethod {
-    /// First-order explicit Euler.
-    Euler,
-    /// Second-order Heun.
-    Heun,
-    /// Fourth-order classical Runge–Kutta.
-    Rk4,
 }
 
 /// A recorded trajectory: times and the state at each time.
@@ -122,12 +119,6 @@ impl Trajectory {
         self.t.is_empty()
     }
 
-    /// Extract the time series of component `i`.
-    #[must_use]
-    pub fn component(&self, i: usize) -> Vec<f64> {
-        self.y.iter().map(|s| s[i]).collect()
-    }
-
     /// Final state, if any samples were stored.
     #[must_use]
     pub fn last(&self) -> Option<(&f64, &[f64])> {
@@ -136,59 +127,6 @@ impl Trajectory {
             _ => None,
         }
     }
-}
-
-/// Integrate `dy/dt = F(t, y)` from `t0` to `t1` with `steps` equal steps,
-/// recording every state (including the initial one).
-///
-/// # Errors
-/// Returns [`NumericsError::InvalidParameter`] when `steps == 0` or
-/// `t1 <= t0`.
-pub fn integrate_fixed<R: Rhs>(
-    rhs: &mut R,
-    method: FixedMethod,
-    t0: f64,
-    t1: f64,
-    y0: &[f64],
-    steps: usize,
-) -> Result<Trajectory> {
-    if steps == 0 {
-        return Err(NumericsError::InvalidParameter {
-            context: "integrate_fixed: steps must be positive",
-        });
-    }
-    if !(t1 > t0) {
-        return Err(NumericsError::InvalidParameter {
-            context: "integrate_fixed: t1 must exceed t0",
-        });
-    }
-    let n = y0.len();
-    let h = (t1 - t0) / steps as f64;
-    let mut y = y0.to_vec();
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut ytmp = vec![0.0; n];
-    let mut traj = Trajectory {
-        t: Vec::with_capacity(steps + 1),
-        y: Vec::with_capacity(steps + 1),
-    };
-    traj.t.push(t0);
-    traj.y.push(y.clone());
-    for s in 0..steps {
-        let t = t0 + s as f64 * h;
-        match method {
-            FixedMethod::Euler => euler_step(rhs, t, &mut y, h, &mut k1),
-            FixedMethod::Heun => heun_step(rhs, t, &mut y, h, &mut k1, &mut k2, &mut ytmp),
-            FixedMethod::Rk4 => rk4_step(
-                rhs, t, &mut y, h, &mut k1, &mut k2, &mut k3, &mut k4, &mut ytmp,
-            ),
-        }
-        traj.t.push(t0 + (s + 1) as f64 * h);
-        traj.y.push(y.clone());
-    }
-    Ok(traj)
 }
 
 // ---------------------------------------------------------------------------
@@ -448,7 +386,8 @@ impl Dopri5 {
                     if g_old * g_new < 0.0 {
                         // Bisect the crossing using Hermite dense output over
                         // [t, t_new]: value/slope pairs (y, k0) and (y5, k6).
-                        let (te, ye) = hermite_bisect_event(t, &y, &k[0], t_new, &y5, &k[6], h, ev);
+                        let (te, ye) =
+                            hermite_bisect_event((t, &y, &k[0]), (t_new, &y5, &k[6]), h, ev);
                         traj.t.push(te);
                         traj.y.push(ye.clone());
                         return Ok(EventOutcome {
@@ -482,16 +421,14 @@ impl Dopri5 {
     }
 }
 
+/// One end of an accepted step: time, state and slope.
+type Knot<'a> = (f64, &'a [f64], &'a [f64]);
+
 /// Locate a sign change of `event` within one accepted step using cubic
 /// Hermite dense output and bisection. Returns the event time and state.
-#[allow(clippy::too_many_arguments)]
 fn hermite_bisect_event(
-    t0: f64,
-    y0: &[f64],
-    f0: &[f64],
-    t1: f64,
-    y1: &[f64],
-    f1: &[f64],
+    (t0, y0, f0): Knot,
+    (t1, y1, f1): Knot,
     h: f64,
     event: &mut &mut dyn FnMut(f64, &[f64]) -> f64,
 ) -> (f64, Vec<f64>) {
@@ -553,53 +490,32 @@ mod tests {
         dydt[1] = -y[0];
     }
 
-    #[test]
-    fn euler_first_order_accuracy() {
-        let mut f = decay;
-        let coarse = integrate_fixed(&mut f, FixedMethod::Euler, 0.0, 1.0, &[1.0], 100).unwrap();
-        let fine = integrate_fixed(&mut f, FixedMethod::Euler, 0.0, 1.0, &[1.0], 200).unwrap();
-        let exact = (-1.0f64).exp();
-        let e_coarse = (coarse.last().unwrap().1[0] - exact).abs();
-        let e_fine = (fine.last().unwrap().1[0] - exact).abs();
-        // halving h should roughly halve the error
-        assert!(
-            e_fine < 0.6 * e_coarse,
-            "e_coarse={e_coarse} e_fine={e_fine}"
-        );
-    }
-
-    #[test]
-    fn heun_second_order_accuracy() {
-        let mut f = decay;
-        let coarse = integrate_fixed(&mut f, FixedMethod::Heun, 0.0, 1.0, &[1.0], 50).unwrap();
-        let fine = integrate_fixed(&mut f, FixedMethod::Heun, 0.0, 1.0, &[1.0], 100).unwrap();
-        let exact = (-1.0f64).exp();
-        let e_coarse = (coarse.last().unwrap().1[0] - exact).abs();
-        let e_fine = (fine.last().unwrap().1[0] - exact).abs();
-        assert!(e_fine < 0.3 * e_coarse);
+    /// `steps` equal RK4 steps of `dy/dt = f` from `y0` over `[0, t1]`.
+    fn rk4_run(
+        mut f: impl FnMut(f64, &[f64], &mut [f64]),
+        y0: &[f64],
+        t1: f64,
+        steps: usize,
+    ) -> Vec<f64> {
+        let h = t1 / steps as f64;
+        let mut rk4 = Rk4::new(y0.len());
+        let mut y = y0.to_vec();
+        for s in 0..steps {
+            rk4.step(&mut f, s as f64 * h, &mut y, h);
+        }
+        y
     }
 
     #[test]
     fn rk4_matches_exponential() {
-        let mut f = decay;
-        let traj = integrate_fixed(&mut f, FixedMethod::Rk4, 0.0, 2.0, &[1.0], 200).unwrap();
+        let y = rk4_run(decay, &[1.0], 2.0, 200);
         let exact = (-2.0f64).exp();
-        assert!(approx_eq(traj.last().unwrap().1[0], exact, 1e-9, 1e-12));
+        assert!(approx_eq(y[0], exact, 1e-9, 1e-12));
     }
 
     #[test]
     fn rk4_oscillator_energy() {
-        let mut f = oscillator;
-        let traj = integrate_fixed(
-            &mut f,
-            FixedMethod::Rk4,
-            0.0,
-            2.0 * std::f64::consts::PI,
-            &[1.0, 0.0],
-            1000,
-        )
-        .unwrap();
-        let yf = traj.last().unwrap().1;
+        let yf = rk4_run(oscillator, &[1.0, 0.0], 2.0 * std::f64::consts::PI, 1000);
         assert!(approx_eq(yf[0], 1.0, 0.0, 1e-8));
         assert!(approx_eq(yf[1], 0.0, 0.0, 1e-8));
     }
@@ -702,20 +618,5 @@ mod tests {
             1e-7,
             1e-9
         ));
-    }
-
-    #[test]
-    fn trajectory_component_extraction() {
-        let mut f = oscillator;
-        let traj = integrate_fixed(&mut f, FixedMethod::Rk4, 0.0, 1.0, &[1.0, 0.0], 10).unwrap();
-        let c0 = traj.component(0);
-        assert_eq!(c0.len(), 11);
-        assert!(approx_eq(c0[0], 1.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn fixed_rejects_zero_steps() {
-        let mut f = decay;
-        assert!(integrate_fixed(&mut f, FixedMethod::Rk4, 0.0, 1.0, &[1.0], 0).is_err());
     }
 }

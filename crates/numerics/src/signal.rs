@@ -1,5 +1,5 @@
-//! Trajectory analysis: peaks, oscillation amplitude/period, damping fits,
-//! steady-state detection.
+//! Trajectory analysis: peaks, oscillation amplitude/period, regime
+//! classification and power-law fits.
 //!
 //! Section 5 of the paper argues trajectories are *convergent spirals*
 //! (damped oscillations) without feedback delay and *limit cycles*
@@ -130,33 +130,6 @@ pub fn analyze_oscillation(
     }))
 }
 
-/// Per-cycle contraction factor of a damped oscillation: the geometric
-/// mean of successive maxima excursion ratios |x_{k+1} − x*| / |x_k − x*|
-/// about the asymptote `x_star`. Values < 1 mean convergence (Theorem 1),
-/// ≈ 1 a limit cycle, > 1 divergence. `None` with fewer than 3 maxima.
-///
-/// # Errors
-/// Propagates [`find_peaks`] errors.
-pub fn contraction_factor(t: &[f64], x: &[f64], x_star: f64) -> Result<Option<f64>> {
-    let peaks = find_peaks(t, x)?;
-    let excursions: Vec<f64> = peaks
-        .iter()
-        .filter(|p| p.is_max)
-        .map(|p| (p.value - x_star).abs())
-        .filter(|e| *e > 1e-12)
-        .collect();
-    if excursions.len() < 3 {
-        return Ok(None);
-    }
-    let mut log_sum = 0.0;
-    let mut n = 0usize;
-    for w in excursions.windows(2) {
-        log_sum += (w[1] / w[0]).ln();
-        n += 1;
-    }
-    Ok(Some((log_sum / n as f64).exp()))
-}
-
 /// Classify a trajectory as settled / damped / sustained based on the
 /// ratio of late-window to early-window oscillation amplitude.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,52 +192,32 @@ pub fn classify_regime(t: &[f64], x: &[f64], floor: f64) -> Result<Regime> {
     })
 }
 
-/// Fit `|x(t) − x*| ≈ A·e^{−γ t}` to the upper peak envelope by least
-/// squares in log space, returning `(A, γ)`. Positive γ = decay rate of
-/// the convergent spiral. `None` with fewer than 3 usable maxima.
-///
-/// # Errors
-/// Propagates [`find_peaks`] errors.
-pub fn fit_decay_envelope(t: &[f64], x: &[f64], x_star: f64) -> Result<Option<(f64, f64)>> {
-    let peaks = find_peaks(t, x)?;
-    let pts: Vec<(f64, f64)> = peaks
+/// Least-squares power-law fit `y ≈ c·x^β` via log-log linear regression.
+/// Returns `(c, beta)`; `None` when fewer than two valid (positive)
+/// points remain or the abscissae are degenerate.
+#[must_use]
+pub fn fit_power_law(x: &[f64], y: &[f64]) -> Option<(f64, f64)> {
+    let pts: Vec<(f64, f64)> = x
         .iter()
-        .filter(|p| p.is_max)
-        .map(|p| (p.t, (p.value - x_star).abs()))
-        .filter(|(_, e)| *e > 1e-12)
+        .zip(y.iter())
+        .filter(|(a, b)| **a > 0.0 && **b > 0.0)
+        .map(|(a, b)| (a.ln(), b.ln()))
         .collect();
-    if pts.len() < 3 {
-        return Ok(None);
+    if pts.len() < 2 {
+        return None;
     }
-    // Linear regression of ln(e) on t.
     let n = pts.len() as f64;
-    let sx: f64 = pts.iter().map(|(t, _)| t).sum();
-    let sy: f64 = pts.iter().map(|(_, e)| e.ln()).sum();
-    let sxx: f64 = pts.iter().map(|(t, _)| t * t).sum();
-    let sxy: f64 = pts.iter().map(|(t, e)| t * e.ln()).sum();
+    let sx: f64 = pts.iter().map(|(a, _)| a).sum();
+    let sy: f64 = pts.iter().map(|(_, b)| b).sum();
+    let sxx: f64 = pts.iter().map(|(a, _)| a * a).sum();
+    let sxy: f64 = pts.iter().map(|(a, b)| a * b).sum();
     let denom = n * sxx - sx * sx;
     if denom.abs() < 1e-300 {
-        return Ok(None);
+        return None;
     }
-    let slope = (n * sxy - sx * sy) / denom;
-    let intercept = (sy - slope * sx) / n;
-    Ok(Some((intercept.exp(), -slope)))
-}
-
-/// Index after which the signal stays within `band` of its final value,
-/// or `None` if it never settles. The classical "settling time" metric.
-#[must_use]
-pub fn settling_index(x: &[f64], band: f64) -> Option<usize> {
-    let last = *x.last()?;
-    let mut idx = None;
-    for (i, v) in x.iter().enumerate() {
-        if (v - last).abs() > band {
-            idx = None;
-        } else if idx.is_none() {
-            idx = Some(i);
-        }
-    }
-    idx
+    let beta = (n * sxy - sx * sy) / denom;
+    let c = ((sy - beta * sx) / n).exp();
+    Some((c, beta))
 }
 
 #[cfg(test)]
@@ -323,25 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn contraction_of_damped_oscillation() {
-        // x(t) = e^{-0.2 t} cos(2t): excursion ratio per cycle = e^{-0.2·π}.
-        let (t, x) = sampled(|t| (-0.2 * t).exp() * (2.0 * t).cos(), 30.0, 6000);
-        let c = contraction_factor(&t, &x, 0.0).unwrap().unwrap();
-        let expected = (-0.2 * std::f64::consts::PI).exp();
-        assert!(
-            approx_eq(c, expected, 0.05, 0.0),
-            "c={c} expected={expected}"
-        );
-    }
-
-    #[test]
-    fn contraction_of_limit_cycle_near_one() {
-        let (t, x) = sampled(|t| (2.0 * t).cos(), 30.0, 6000);
-        let c = contraction_factor(&t, &x, 0.0).unwrap().unwrap();
-        assert!(approx_eq(c, 1.0, 0.02, 0.0), "c={c}");
-    }
-
-    #[test]
     fn regime_classification() {
         let (t, xd) = sampled(|t| (-0.3 * t).exp() * (3.0 * t).cos(), 30.0, 3000);
         assert_eq!(classify_regime(&t, &xd, 1e-6).unwrap(), Regime::Damped);
@@ -355,57 +289,6 @@ mod tests {
         let (t4, xc) = sampled(|t| 1.0 + 1e-9 * (3.0 * t).cos(), 30.0, 3000);
         assert_eq!(classify_regime(&t4, &xc, 1e-6).unwrap(), Regime::Converged);
     }
-
-    #[test]
-    fn decay_envelope_fit() {
-        let (t, x) = sampled(|t| 3.0 * (-0.5 * t).exp() * (4.0 * t).cos(), 10.0, 5000);
-        let (a, gamma) = fit_decay_envelope(&t, &x, 0.0).unwrap().unwrap();
-        assert!(approx_eq(gamma, 0.5, 0.05, 0.0), "gamma={gamma}");
-        assert!(a > 2.0 && a < 4.0, "A={a}");
-    }
-
-    #[test]
-    fn settling_index_simple() {
-        let x = vec![10.0, 5.0, 2.0, 1.1, 1.01, 1.0, 1.0];
-        let idx = settling_index(&x, 0.05).unwrap();
-        assert_eq!(idx, 4);
-        assert!(settling_index(&x, 1e-9).is_some()); // last samples equal
-        let osc = vec![0.0, 1.0, 0.0, 1.0, 0.0];
-        assert!(settling_index(&osc, 0.1).is_none() || settling_index(&osc, 0.1) == Some(4));
-    }
-}
-
-/// Least-squares power-law fit `y ≈ c·x^β` via log-log linear regression.
-/// Returns `(c, beta)`; `None` when fewer than two valid (positive)
-/// points remain or the abscissae are degenerate.
-#[must_use]
-pub fn fit_power_law(x: &[f64], y: &[f64]) -> Option<(f64, f64)> {
-    let pts: Vec<(f64, f64)> = x
-        .iter()
-        .zip(y.iter())
-        .filter(|(a, b)| **a > 0.0 && **b > 0.0)
-        .map(|(a, b)| (a.ln(), b.ln()))
-        .collect();
-    if pts.len() < 2 {
-        return None;
-    }
-    let n = pts.len() as f64;
-    let sx: f64 = pts.iter().map(|(a, _)| a).sum();
-    let sy: f64 = pts.iter().map(|(_, b)| b).sum();
-    let sxx: f64 = pts.iter().map(|(a, _)| a * a).sum();
-    let sxy: f64 = pts.iter().map(|(a, b)| a * b).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-300 {
-        return None;
-    }
-    let beta = (n * sxy - sx * sy) / denom;
-    let c = ((sy - beta * sx) / n).exp();
-    Some((c, beta))
-}
-
-#[cfg(test)]
-mod power_law_tests {
-    use super::fit_power_law;
 
     #[test]
     fn exact_power_law_recovered() {

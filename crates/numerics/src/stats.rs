@@ -1,8 +1,8 @@
-//! Descriptive statistics: running moments, histograms, empirical CDFs,
-//! Kolmogorov–Smirnov distance, autocorrelation.
+//! Descriptive statistics: running moments, slice mean/variance, and the
+//! Kolmogorov–Smirnov distance of a sample from a gridded density.
 //!
 //! The Fokker–Planck density is cross-validated against Langevin
-//! Monte-Carlo histograms (experiment E4 in `DESIGN.md`); the KS distance
+//! Monte-Carlo samples (experiment E4 in `DESIGN.md`); the KS distance
 //! is the agreement metric reported in `EXPERIMENTS.md`.
 
 use crate::{NumericsError, Result};
@@ -115,138 +115,6 @@ impl RunningStats {
     }
 }
 
-/// A fixed-range histogram with uniform bins plus underflow/overflow
-/// counters.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create a histogram over `[lo, hi)` with `bins` uniform bins.
-    ///
-    /// # Errors
-    /// [`NumericsError::InvalidParameter`] when `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Result<Self> {
-        if bins == 0 || !(hi > lo) {
-            return Err(NumericsError::InvalidParameter {
-                context: "Histogram: need bins > 0 and hi > lo",
-            });
-        }
-        Ok(Self {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-        })
-    }
-
-    /// Deposit one sample.
-    pub fn push(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let b = ((x - self.lo) / (self.hi - self.lo) * self.counts.len() as f64) as usize;
-            let b = b.min(self.counts.len() - 1);
-            self.counts[b] += 1;
-        }
-    }
-
-    /// Number of bins.
-    #[must_use]
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Raw counts per bin.
-    #[must_use]
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Samples below `lo`.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above `hi`.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples pushed (including out-of-range).
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Bin width.
-    #[must_use]
-    pub fn bin_width(&self) -> f64 {
-        (self.hi - self.lo) / self.counts.len() as f64
-    }
-
-    /// Centre of bin `b`.
-    #[must_use]
-    pub fn bin_center(&self, b: usize) -> f64 {
-        self.lo + (b as f64 + 0.5) * self.bin_width()
-    }
-
-    /// Probability-density estimate: counts normalised so the histogram
-    /// integrates to the in-range fraction of samples.
-    #[must_use]
-    pub fn density(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        let norm = self.total as f64 * self.bin_width();
-        self.counts.iter().map(|&c| c as f64 / norm).collect()
-    }
-}
-
-/// Two-sample Kolmogorov–Smirnov statistic: the sup-distance between the
-/// empirical CDFs of `a` and `b`.
-///
-/// # Errors
-/// [`NumericsError::InvalidParameter`] when either sample is empty.
-pub fn ks_statistic(a: &[f64], b: &[f64]) -> Result<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Err(NumericsError::InvalidParameter {
-            context: "ks_statistic: samples must be non-empty",
-        });
-    }
-    let mut xa = a.to_vec();
-    let mut xb = b.to_vec();
-    xa.sort_unstable_by(|p, q| p.partial_cmp(q).unwrap());
-    xb.sort_unstable_by(|p, q| p.partial_cmp(q).unwrap());
-    let (mut i, mut j) = (0usize, 0usize);
-    let (na, nb) = (xa.len() as f64, xb.len() as f64);
-    let mut d: f64 = 0.0;
-    while i < xa.len() && j < xb.len() {
-        let x = xa[i].min(xb[j]);
-        while i < xa.len() && xa[i] <= x {
-            i += 1;
-        }
-        while j < xb.len() && xb[j] <= x {
-            j += 1;
-        }
-        d = d.max((i as f64 / na - j as f64 / nb).abs());
-    }
-    Ok(d)
-}
-
 /// KS distance between an empirical sample and a discretised density
 /// `(centers, pdf)` interpreted as a piecewise-constant distribution with
 /// uniform spacing.
@@ -290,36 +158,6 @@ pub fn ks_sample_vs_density(sample: &[f64], centers: &[f64], pdf: &[f64]) -> Res
         d = d.max((idx as f64 / n - edge_pdfcdf).abs());
     }
     Ok(d)
-}
-
-/// Biased (1/n-normalised) autocorrelation of `x` at lags `0..max_lag`.
-///
-/// # Errors
-/// [`NumericsError::InvalidParameter`] when `x.len() <= max_lag` or the
-/// series is empty / constant (zero variance).
-pub fn autocorrelation(x: &[f64], max_lag: usize) -> Result<Vec<f64>> {
-    if x.is_empty() || x.len() <= max_lag {
-        return Err(NumericsError::InvalidParameter {
-            context: "autocorrelation: need len > max_lag > 0",
-        });
-    }
-    let n = x.len();
-    let mean = x.iter().sum::<f64>() / n as f64;
-    let var: f64 = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-    if var <= 0.0 {
-        return Err(NumericsError::InvalidParameter {
-            context: "autocorrelation: zero-variance series",
-        });
-    }
-    let mut out = Vec::with_capacity(max_lag + 1);
-    for lag in 0..=max_lag {
-        let mut acc = 0.0;
-        for i in 0..n - lag {
-            acc += (x[i] - mean) * (x[i + lag] - mean);
-        }
-        out.push(acc / (n as f64 * var));
-    }
-    Ok(out)
 }
 
 /// Sample mean of a slice; 0 for empty input.
@@ -423,57 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_density_integrates_to_one() {
-        let mut h = Histogram::new(0.0, 10.0, 20).unwrap();
-        for i in 0..1000 {
-            h.push((i % 100) as f64 / 10.0);
-        }
-        let total: f64 = h.density().iter().sum::<f64>() * h.bin_width();
-        assert!(approx_eq(total, 1.0, 1e-12, 0.0));
-        assert_eq!(h.underflow(), 0);
-        assert_eq!(h.overflow(), 0);
-    }
-
-    #[test]
-    fn histogram_out_of_range_counted() {
-        let mut h = Histogram::new(0.0, 1.0, 4).unwrap();
-        h.push(-1.0);
-        h.push(2.0);
-        h.push(0.5);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn histogram_bin_centers() {
-        let h = Histogram::new(0.0, 4.0, 4).unwrap();
-        assert!(approx_eq(h.bin_center(0), 0.5, 1e-15, 0.0));
-        assert!(approx_eq(h.bin_center(3), 3.5, 1e-15, 0.0));
-    }
-
-    #[test]
-    fn ks_identical_samples_zero() {
-        let a: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        assert!(ks_statistic(&a, &a).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn ks_disjoint_samples_one() {
-        let a = vec![0.0, 1.0, 2.0];
-        let b = vec![10.0, 11.0, 12.0];
-        assert!(approx_eq(ks_statistic(&a, &b).unwrap(), 1.0, 0.0, 1e-12));
-    }
-
-    #[test]
-    fn ks_shifted_uniform() {
-        let a: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0).collect();
-        let b: Vec<f64> = (0..1000).map(|i| i as f64 / 1000.0 + 0.25).collect();
-        let d = ks_statistic(&a, &b).unwrap();
-        assert!((d - 0.25).abs() < 0.01, "d={d}");
-    }
-
-    #[test]
     fn ks_sample_vs_density_uniform() {
         // Uniform density on [0, 1), sample drawn uniformly → small D.
         let centers: Vec<f64> = (0..100).map(|i| (i as f64 + 0.5) / 100.0).collect();
@@ -481,28 +268,5 @@ mod tests {
         let sample: Vec<f64> = (0..2000).map(|i| (i as f64 + 0.5) / 2000.0).collect();
         let d = ks_sample_vs_density(&sample, &centers, &pdf).unwrap();
         assert!(d < 0.02, "d={d}");
-    }
-
-    #[test]
-    fn autocorrelation_lag0_is_one() {
-        let x: Vec<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
-        let ac = autocorrelation(&x, 10).unwrap();
-        assert!(approx_eq(ac[0], 1.0, 1e-12, 0.0));
-    }
-
-    #[test]
-    fn autocorrelation_periodic_signal() {
-        // Period-20 sine: autocorrelation at lag 20 should be near 1.
-        let x: Vec<f64> = (0..400)
-            .map(|i| (2.0 * std::f64::consts::PI * i as f64 / 20.0).sin())
-            .collect();
-        let ac = autocorrelation(&x, 25).unwrap();
-        assert!(ac[20] > 0.9, "ac[20]={}", ac[20]);
-        assert!(ac[10] < -0.9, "ac[10]={}", ac[10]);
-    }
-
-    #[test]
-    fn autocorrelation_rejects_constant() {
-        assert!(autocorrelation(&[3.0; 50], 5).is_err());
     }
 }

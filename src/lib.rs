@@ -5,8 +5,8 @@
 //! This crate re-exports the workspace members under stable paths so the
 //! examples and integration tests can depend on a single crate:
 //!
-//! * [`numerics`] — ODE/DDE integrators, tridiagonal/banded solves,
-//!   interpolation, signal/statistics kernels, the shared worker pool.
+//! * [`numerics`] — ODE/DDE integrators (one fixed-step RK4), the
+//!   tridiagonal solve, signal/statistics kernels, the shared worker pool.
 //! * [`congestion`] — control laws (JRJ linear-increase/exponential-
 //!   decrease and friends) and the fairness/equilibrium theory.
 //! * [`fluid`] — the Bolot–Shankar deterministic fluid baseline, the
