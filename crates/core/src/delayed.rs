@@ -7,12 +7,15 @@
 //! to characteristic-based arguments for Section 7. This module follows
 //! the same route stochastically: Euler–Maruyama paths where the control
 //! reads a history buffer, giving the noisy analogue of the fluid DDE
-//! limit cycles and the ensemble spread around them.
+//! limit cycles and the ensemble spread around them. The noise comes from
+//! the same 256-layer Marsaglia–Tsang ziggurat sampler as
+//! [`crate::montecarlo`].
 
+use crate::normal::ziggurat;
 use fpk_congestion::RateControl;
 use fpk_numerics::{NumericsError, Result};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Configuration for a delayed stochastic path simulation.
 #[derive(Debug, Clone)]
@@ -49,13 +52,23 @@ pub struct DelayedPath {
 /// step (1 = every step).
 ///
 /// # Errors
-/// [`NumericsError::InvalidParameter`] for non-positive τ, dt, t_end, μ,
-/// `record_every == 0`, or negative σ².
+/// [`NumericsError::InvalidParameter`] for a non-finite parameter or
+/// initial state, non-positive τ, dt, t_end, μ, `record_every == 0`, or
+/// negative σ².
 pub fn simulate_delayed_path<L: RateControl>(
     law: &L,
     cfg: &DelayedMcConfig,
     record_every: usize,
 ) -> Result<DelayedPath> {
+    let (q0, nu0) = cfg.init;
+    if ![cfg.tau, cfg.dt, cfg.t_end, cfg.mu, cfg.sigma2, q0, nu0]
+        .iter()
+        .all(|v| v.is_finite())
+    {
+        return Err(NumericsError::InvalidParameter {
+            context: "DelayedMcConfig: tau, dt, t_end, mu, sigma2 and init must be finite",
+        });
+    }
     if !(cfg.tau > 0.0 && cfg.dt > 0.0 && cfg.t_end > 0.0 && cfg.mu > 0.0)
         || cfg.sigma2 < 0.0
         || record_every == 0
@@ -64,6 +77,7 @@ pub fn simulate_delayed_path<L: RateControl>(
             context: "DelayedMcConfig: need tau, dt, t_end, mu > 0, sigma2 >= 0, record_every > 0",
         });
     }
+    let zig = ziggurat();
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let lag_steps = (cfg.tau / cfg.dt).ceil() as usize;
     let n_steps = (cfg.t_end / cfg.dt).ceil() as usize;
@@ -95,7 +109,7 @@ pub fn simulate_delayed_path<L: RateControl>(
         // Sticky wall for the drift (paper convention), reflecting for
         // the noise — matching the PDE boundary treatment.
         let q_det = (q + nu * cfg.dt).max(0.0);
-        let mut q_new = q_det + sigma * sq_dt * gauss(&mut rng);
+        let mut q_new = q_det + sigma * sq_dt * zig.sample(&mut rng);
         if q_new < 0.0 {
             q_new = -q_new;
         }
@@ -159,17 +173,6 @@ pub fn ensemble_cycle_amplitude<L: RateControl>(
     Ok((mean, std))
 }
 
-fn gauss<R: Rng>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.gen::<f64>();
-        if u1 <= f64::MIN_POSITIVE {
-            continue;
-        }
-        let u2: f64 = rng.gen::<f64>();
-        return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,14 +232,30 @@ mod tests {
 
     #[test]
     fn rejects_bad_config() {
-        let mut c = cfg(1.0, 0.1);
-        c.tau = 0.0;
-        assert!(simulate_delayed_path(&law(), &c, 1).is_err());
-        let c2 = cfg(1.0, 0.1);
-        assert!(simulate_delayed_path(&law(), &c2, 0).is_err());
-        let mut c3 = cfg(1.0, 0.1);
-        c3.sigma2 = -0.1;
-        assert!(simulate_delayed_path(&law(), &c3, 1).is_err());
+        let range = "DelayedMcConfig: need tau, dt, t_end, mu > 0, sigma2 >= 0, record_every > 0";
+        let finite = "DelayedMcConfig: tau, dt, t_end, mu, sigma2 and init must be finite";
+        let bad: [(fn(&mut DelayedMcConfig), usize, &str); 10] = [
+            (|c| c.tau = 0.0, 1, range),
+            (|_| {}, 0, range),
+            (|c| c.sigma2 = -0.1, 1, range),
+            (|c| c.sigma2 = f64::NAN, 1, finite),
+            (|c| c.t_end = f64::INFINITY, 1, finite),
+            (|c| c.tau = f64::NAN, 1, finite),
+            (|c| c.dt = f64::INFINITY, 1, finite),
+            (|c| c.mu = f64::INFINITY, 1, finite),
+            (|c| c.init.0 = f64::NAN, 1, finite),
+            (|c| c.init.1 = f64::NEG_INFINITY, 1, finite),
+        ];
+        for (k, (spoil, record_every, want)) in bad.into_iter().enumerate() {
+            let mut c = cfg(1.0, 0.1);
+            spoil(&mut c);
+            match simulate_delayed_path(&law(), &c, record_every) {
+                Err(NumericsError::InvalidParameter { context }) => {
+                    assert_eq!(context, want, "case {k}");
+                }
+                other => panic!("case {k}: expected InvalidParameter, got {other:?}"),
+            }
+        }
     }
 
     #[test]

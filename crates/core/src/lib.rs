@@ -31,6 +31,9 @@
 //!   joint density is non-Markov under delay; Section 7 is reproduced on
 //!   paths, as in the paper).
 //!
+//! Both Langevin layers draw their noise from one private 256-layer
+//! ziggurat normal sampler (Marsaglia–Tsang).
+//!
 //! # Example
 //!
 //! Evolve a Gaussian initial density under the JRJ law and check the
@@ -58,6 +61,7 @@ pub mod delayed;
 pub mod density;
 pub mod fv;
 pub mod montecarlo;
+mod normal;
 pub mod solver;
 pub mod steady;
 

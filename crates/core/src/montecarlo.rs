@@ -15,13 +15,16 @@
 //! worker pool (`fpk_numerics::par`) and are concatenated in chunk
 //! order. Results are therefore bit-identical for a fixed (seed, stream
 //! count) pair at any `FPK_THREADS`, and statistically identical across
-//! stream counts.
+//! stream counts. Every normal draw (the initial ensemble and the noise
+//! increments) comes from the crate's 256-layer Marsaglia–Tsang ziggurat
+//! sampler, one 64-bit word per draw in all but about 1% of draws.
 
+use crate::normal::ziggurat;
 use fpk_congestion::RateControl;
 use fpk_numerics::par::{run_indexed, thread_count};
 use fpk_numerics::{NumericsError, Result};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Configuration of a Monte-Carlo ensemble run.
 #[derive(Debug, Clone)]
@@ -48,6 +51,15 @@ pub struct McConfig {
 
 impl McConfig {
     fn validate(&self) -> Result<()> {
+        let (m, s) = (self.init_mean, self.init_std);
+        if ![self.mu, self.sigma2, self.dt, m.0, m.1, s.0, s.1]
+            .iter()
+            .all(|v| v.is_finite())
+        {
+            return Err(NumericsError::InvalidParameter {
+                context: "McConfig: mu, sigma2, dt, init_mean and init_std must be finite",
+            });
+        }
         if !(self.mu > 0.0) || self.sigma2 < 0.0 || !(self.dt > 0.0) {
             return Err(NumericsError::InvalidParameter {
                 context: "McConfig: need mu > 0, sigma2 >= 0, dt > 0",
@@ -94,10 +106,11 @@ impl McSnapshot {
 }
 
 /// Simulate the ensemble, recording snapshots at the requested times
-/// (which must be non-negative and strictly increasing).
+/// (which must be finite, non-negative and strictly increasing).
 ///
 /// # Errors
-/// Configuration validation errors, or empty/unsorted `snapshot_times`.
+/// Configuration validation errors (including non-finite parameters),
+/// or empty, non-finite or unsorted `snapshot_times`.
 pub fn simulate_ensemble<L>(
     law: &L,
     cfg: &McConfig,
@@ -120,6 +133,11 @@ where
     L: RateControl + Clone + Send + Sync + 'static,
 {
     cfg.validate()?;
+    if !snapshot_times.iter().all(|t| t.is_finite()) {
+        return Err(NumericsError::InvalidParameter {
+            context: "simulate_ensemble: snapshot times must be finite",
+        });
+    }
     if snapshot_times.is_empty()
         || snapshot_times.windows(2).any(|w| w[1] <= w[0])
         || snapshot_times[0] < 0.0
@@ -165,58 +183,48 @@ fn simulate_chunk<L: RateControl>(
     count: usize,
 ) -> Vec<(Vec<f64>, Vec<f64>)> {
     let sigma = cfg.sigma2.sqrt();
+    let nu_floor = -cfg.mu;
+    let zig = ziggurat();
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(c as u64));
     let mut qs = vec![0.0f64; count];
     let mut nus = vec![0.0f64; count];
-    for p in 0..count {
-        qs[p] = (cfg.init_mean.0 + cfg.init_std.0 * gauss(&mut rng)).max(0.0);
-        nus[p] = (cfg.init_mean.1 + cfg.init_std.1 * gauss(&mut rng)).max(-cfg.mu);
+    for (q, nu) in qs.iter_mut().zip(nus.iter_mut()) {
+        *q = (cfg.init_mean.0 + cfg.init_std.0 * zig.sample(&mut rng)).max(0.0);
+        *nu = (cfg.init_mean.1 + cfg.init_std.1 * zig.sample(&mut rng)).max(nu_floor);
     }
     let mut t = 0.0f64;
     let mut views = Vec::with_capacity(times.len());
     for time in times {
         // Advance all particles to this snapshot time.
+        // lint: hot-path
         while t < time - 1e-12 {
             let dt = cfg.dt.min(time - t);
-            let sq_dt = dt.sqrt();
-            for p in 0..count {
-                let q = qs[p];
-                let nu = nus[p];
+            let noise = sigma * dt.sqrt();
+            for (q, nu) in qs.iter_mut().zip(nus.iter_mut()) {
+                let (q0, nu0) = (*q, *nu);
                 // Empty-queue convention: the *drift* cannot push the
                 // queue below empty (sticky wall, matching the PDE's
                 // blocked advective flux); only the noise reflects
                 // (zero-flux diffusion).
-                let q_det = (q + nu * dt).max(0.0);
-                let mut q_new = q_det + sigma * sq_dt * gauss(&mut rng);
+                let q_det = (q0 + nu0 * dt).max(0.0);
+                let mut q_new = q_det + noise * zig.sample(&mut rng);
                 if q_new < 0.0 {
                     q_new = -q_new;
                 }
-                let g = law.g(q, nu + cfg.mu);
-                let mut nu_new = nu + g * dt;
-                if nu_new < -cfg.mu {
-                    nu_new = -cfg.mu; // λ >= 0
+                let g = law.g(q0, nu0 + cfg.mu);
+                let mut nu_new = nu0 + g * dt;
+                if nu_new < nu_floor {
+                    nu_new = nu_floor; // λ >= 0
                 }
-                qs[p] = q_new;
-                nus[p] = nu_new;
+                *q = q_new;
+                *nu = nu_new;
             }
             t += dt;
         }
+        // lint: end
         views.push((qs.clone(), nus.clone()));
     }
     views
-}
-
-/// Standard-normal sample via Box–Muller (avoids a rand_distr
-/// dependency).
-fn gauss<R: Rng>(rng: &mut R) -> f64 {
-    loop {
-        let u1: f64 = rng.gen::<f64>();
-        if u1 <= f64::MIN_POSITIVE {
-            continue;
-        }
-        let u2: f64 = rng.gen::<f64>();
-        return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    }
 }
 
 #[cfg(test)]
@@ -308,13 +316,12 @@ mod tests {
     }
 
     #[test]
-    fn output_matches_the_pinned_scoped_thread_engine() {
-        // Captured from the engine this one replaced (one scoped thread
-        // per chunk writing into pre-split snapshot buffers): moving the
-        // chunks onto the pool must not move a single bit.
+    fn output_matches_pinned_fingerprint() {
+        // Captured when the ziggurat sampler replaced Box–Muller: any
+        // change to the draw order, the sampler or the step moves it.
         let law = LinearExp::new(1.0, 0.5, 10.0);
         let snaps = simulate_ensemble(&law, &cfg(), &[0.5, 1.0]).unwrap();
-        assert_eq!(fingerprint(&snaps), 0x5afb_186c_1047_4acf);
+        assert_eq!(fingerprint(&snaps), 0xa2dd_d9ca_4194_ef24);
     }
 
     #[test]
@@ -369,23 +376,38 @@ mod tests {
     #[test]
     fn rejects_bad_config() {
         let law = LinearExp::standard();
-        let mut c = cfg();
-        c.n_particles = 0;
-        assert!(simulate_ensemble(&law, &c, &[1.0]).is_err());
-        let mut c2 = cfg();
-        c2.dt = 0.0;
-        assert!(simulate_ensemble(&law, &c2, &[1.0]).is_err());
-        assert!(simulate_ensemble(&law, &cfg(), &[]).is_err());
-        assert!(simulate_ensemble(&law, &cfg(), &[1.0, 0.5]).is_err());
-    }
-
-    #[test]
-    fn gauss_moments() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let xs: Vec<f64> = (0..50_000).map(|_| gauss(&mut rng)).collect();
-        let m = fpk_numerics::stats::mean(&xs);
-        let v = fpk_numerics::stats::variance(&xs);
-        assert!(m.abs() < 0.02, "mean {m}");
-        assert!((v - 1.0).abs() < 0.03, "var {v}");
+        let rejection = |c: &McConfig, times: &[f64]| match simulate_ensemble(&law, c, times) {
+            Err(NumericsError::InvalidParameter { context }) => context,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        };
+        let range = "McConfig: need mu > 0, sigma2 >= 0, dt > 0";
+        let counts = "McConfig: need n_particles > 0 and threads > 0";
+        let finite = "McConfig: mu, sigma2, dt, init_mean and init_std must be finite";
+        let bad: [(fn(&mut McConfig), &str); 8] = [
+            (|c| c.n_particles = 0, counts),
+            (|c| c.dt = 0.0, range),
+            (|c| c.sigma2 = f64::NAN, finite),
+            (|c| c.mu = f64::INFINITY, finite),
+            (|c| c.dt = f64::NAN, finite),
+            (|c| c.init_mean.0 = f64::NAN, finite),
+            (|c| c.init_mean.1 = f64::NEG_INFINITY, finite),
+            (|c| c.init_std.0 = f64::NAN, finite),
+        ];
+        for (k, (spoil, want)) in bad.into_iter().enumerate() {
+            let mut c = cfg();
+            spoil(&mut c);
+            assert_eq!(rejection(&c, &[1.0]), want, "case {k}");
+        }
+        let order = "simulate_ensemble: snapshot times must be non-negative and increasing";
+        let finite_t = "simulate_ensemble: snapshot times must be finite";
+        for (times, want) in [
+            (&[][..], order),
+            (&[1.0, 0.5][..], order),
+            (&[f64::NAN][..], finite_t),
+            (&[0.5, f64::NAN][..], finite_t),
+            (&[0.5, f64::INFINITY][..], finite_t),
+        ] {
+            assert_eq!(rejection(&cfg(), times), want, "times {times:?}");
+        }
     }
 }
