@@ -1,32 +1,11 @@
-//! Criterion benchmarks of the numerical kernels: tridiagonal solves
-//! (the Crank–Nicolson hot path), the adaptive ODE integrator and the
-//! advection sweep.
+//! Criterion benchmarks of the numerical kernels: the adaptive ODE
+//! integrator and the advection sweep. (The Crank–Nicolson solve is
+//! timed as part of `fp_step_by_diffusion` in `fp_solver.rs`.)
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use fpk_core::fv::{advect_sweep, Limiter};
-use fpk_numerics::linalg::solve_tridiagonal;
 use fpk_numerics::ode::{Dopri5, Dopri5Options};
 use std::hint::black_box;
-
-fn bench_tridiagonal(c: &mut Criterion) {
-    let mut group = c.benchmark_group("thomas_solve");
-    for n in [128usize, 1024, 8192] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let sub = vec![-0.5; n];
-            let diag = vec![2.0; n];
-            let sup = vec![-0.5; n];
-            let rhs: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-            let mut d = rhs.clone();
-            let mut scratch = vec![0.0; n];
-            b.iter(|| {
-                d.copy_from_slice(&rhs);
-                solve_tridiagonal(&sub, &diag, &sup, black_box(&mut d), &mut scratch)
-                    .expect("solve");
-            });
-        });
-    }
-    group.finish();
-}
 
 fn bench_dopri5(c: &mut Criterion) {
     c.bench_function("dopri5_oscillator_100s", |b| {
@@ -71,6 +50,6 @@ fn bench_advect(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_tridiagonal, bench_dopri5, bench_advect
+    targets = bench_dopri5, bench_advect
 }
 criterion_main!(benches);

@@ -10,7 +10,7 @@
 //! `f(q) ∝ exp(−2(μ−λ)q/σ²)` — the heavy-traffic diffusion approximation
 //! of a stable queue — which the unit tests verify.
 
-use crate::fv::{advect_sweep, diffuse_crank_nicolson, Limiter};
+use crate::fv::{advect_sweep, Limiter, RowDiffusion};
 use fpk_numerics::grid::Grid1d;
 use fpk_numerics::{NumericsError, Result};
 
@@ -36,7 +36,7 @@ pub struct Classic1dSolver<F: Fn(f64) -> f64> {
     t: f64,
     vel: Vec<f64>,
     flux: Vec<f64>,
-    bufs: [Vec<f64>; 5],
+    diffusion: RowDiffusion,
 }
 
 impl<F: Fn(f64) -> f64> Classic1dSolver<F> {
@@ -44,16 +44,22 @@ impl<F: Fn(f64) -> f64> Classic1dSolver<F> {
     /// internally).
     ///
     /// # Errors
-    /// [`NumericsError::InvalidParameter`] for σ² < 0 or a zero-mass
-    /// initial condition; [`NumericsError::DimensionMismatch`] when
+    /// [`NumericsError::InvalidParameter`] for a σ² that is not finite and
+    /// non-negative, a grid of fewer than 2 cells or a zero-mass initial
+    /// condition; [`NumericsError::DimensionMismatch`] when
     /// `initial.len() != grid.n()`.
     pub fn new(problem: Classic1d<F>, initial: &[f64]) -> Result<Self> {
-        if problem.sigma2 < 0.0 {
+        if !(problem.sigma2 >= 0.0 && problem.sigma2.is_finite()) {
             return Err(NumericsError::InvalidParameter {
-                context: "Classic1dSolver: sigma2 must be >= 0",
+                context: "Classic1dSolver: sigma2 must be finite and >= 0",
             });
         }
         let n = problem.grid.n();
+        if n < 2 {
+            return Err(NumericsError::InvalidParameter {
+                context: "Classic1dSolver: the grid needs at least 2 cells",
+            });
+        }
         if initial.len() != n {
             return Err(NumericsError::DimensionMismatch {
                 context: "Classic1dSolver: initial length != grid cells",
@@ -71,20 +77,13 @@ impl<F: Fn(f64) -> f64> Classic1dSolver<F> {
         let vel: Vec<f64> = (0..=n)
             .map(|k| (problem.drift)(problem.grid.face(k)))
             .collect();
-        let bufs = [
-            vec![0.0; n],
-            vec![0.0; n],
-            vec![0.0; n],
-            vec![0.0; n],
-            vec![0.0; n],
-        ];
         Ok(Self {
             problem,
             f,
             t: 0.0,
             vel,
             flux: vec![0.0; n + 1],
-            bufs,
+            diffusion: RowDiffusion::new(n, 1),
         })
     }
 
@@ -135,11 +134,12 @@ impl<F: Fn(f64) -> f64> Classic1dSolver<F> {
     /// (advect dt/2, diffuse dt, advect dt/2).
     ///
     /// # Errors
-    /// Propagates solver failures; rejects `t_end` in the past.
+    /// [`NumericsError::InvalidParameter`] unless `t_end` is finite and
+    /// not in the past.
     pub fn run_until(&mut self, t_end: f64) -> Result<()> {
-        if t_end < self.t {
+        if !(t_end >= self.t && t_end.is_finite()) {
             return Err(NumericsError::InvalidParameter {
-                context: "Classic1dSolver::run_until: t_end in the past",
+                context: "Classic1dSolver::run_until: t_end must be finite and >= current time",
             });
         }
         let dt_max = self.max_dt();
@@ -155,18 +155,8 @@ impl<F: Fn(f64) -> f64> Classic1dSolver<F> {
                 &mut self.flux,
             );
             if self.problem.sigma2 > 0.0 {
-                let [b0, b1, b2, b3, b4] = &mut self.bufs;
-                diffuse_crank_nicolson(
-                    &mut self.f,
-                    0.5 * self.problem.sigma2,
-                    dx,
-                    dt,
-                    b0,
-                    b1,
-                    b2,
-                    b3,
-                    b4,
-                )?;
+                self.diffusion
+                    .crank_nicolson(&mut self.f, 0.5 * self.problem.sigma2, dx, dt);
             }
             advect_sweep(
                 &mut self.f,
@@ -266,25 +256,49 @@ mod tests {
 
     #[test]
     fn rejects_bad_inputs() {
-        let grid = Grid1d::new(0.0, 5.0, 10).unwrap();
-        let p = Classic1d {
-            drift: |_q| -1.0,
-            sigma2: -1.0,
-            grid: grid.clone(),
+        let solver = |sigma2: f64, n: usize, init: &[f64]| {
+            let grid = Grid1d::new(0.0, 5.0, n).unwrap();
+            let drift = |_q: f64| -1.0;
+            Classic1dSolver::new(
+                Classic1d {
+                    drift,
+                    sigma2,
+                    grid,
+                },
+                init,
+            )
         };
-        assert!(Classic1dSolver::new(p, &[1.0; 10]).is_err());
-        let p2 = Classic1d {
-            drift: |_q| -1.0,
-            sigma2: 1.0,
-            grid: grid.clone(),
-        };
-        assert!(Classic1dSolver::new(p2, &[1.0; 7]).is_err());
-        let p3 = Classic1d {
-            drift: |_q| -1.0,
-            sigma2: 1.0,
-            grid,
-        };
-        assert!(Classic1dSolver::new(p3, &[0.0; 10]).is_err());
+        let cases: [(&str, f64, usize, &[f64]); 6] = [
+            ("sigma2 < 0", -1.0, 10, &[1.0; 10]),
+            ("sigma2 = NaN", f64::NAN, 10, &[1.0; 10]),
+            ("sigma2 = inf", f64::INFINITY, 10, &[1.0; 10]),
+            ("initial length", 1.0, 10, &[1.0; 7]),
+            ("no mass", 1.0, 10, &[0.0; 10]),
+            ("one cell", 1.0, 1, &[1.0]),
+        ];
+        for (what, sigma2, n, init) in cases {
+            assert!(
+                matches!(
+                    solver(sigma2, n, init),
+                    Err(NumericsError::InvalidParameter { .. }
+                        | NumericsError::DimensionMismatch { .. })
+                ),
+                "{what} accepted"
+            );
+        }
+        let mut s = solver(1.0, 10, &[1.0; 10]).unwrap();
+        s.run_until(0.5).unwrap();
+        let t = s.time();
+        for t_end in [0.25, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    s.run_until(t_end),
+                    Err(NumericsError::InvalidParameter { .. })
+                ),
+                "run_until({t_end}) accepted"
+            );
+            assert_eq!(s.time(), t);
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! * [`density`] — the discretised joint density: marginals, moments,
 //!   mass/positivity audits.
 //! * [`fv`] — conservative finite-volume kernels (flux-limited advection,
-//!   explicit and Crank–Nicolson diffusion).
+//!   explicit and Crank–Nicolson diffusion; the q-direction kernels
+//!   advance every ν-row at once).
 //! * [`solver`] — the Strang-split time stepper for Eq. 14 with the
 //!   empty-queue boundary convention.
 //! * [`steady`] — stationary densities (experiment E5).

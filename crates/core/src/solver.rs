@@ -11,12 +11,18 @@
 //! 3. diffuse in q with coefficient σ²/2,
 //!
 //! each sub-step using the conservative kernels of [`crate::fv`]. The
+//! density is row-major, `data[i * nν + j]`: the ν-sweep runs on each
+//! contiguous column, and the two q-direction sub-steps sweep the q-rows
+//! with all nν lanes advancing together, so no q-line is gathered or
+//! scattered. Crank–Nicolson diffusion factors its tridiagonal matrix
+//! once per distinct dt (the CFL step, so almost never twice) and then
+//! costs one forward and one back-substitution pass per step. The
 //! q = 0 face is blocked (the paper's empty-queue convention), the outer
 //! faces are blocked too (domain must be large enough; audited by
 //! [`crate::density::Density::boundary_mass_fraction`]).
 
 use crate::density::Density;
-use crate::fv::{advect_sweep, diffuse_crank_nicolson, diffuse_explicit, Limiter};
+use crate::fv::{advect_sweep, Limiter, RowAdvection, RowDiffusion};
 use fpk_congestion::RateControl;
 use fpk_numerics::{NumericsError, Result};
 
@@ -26,8 +32,9 @@ pub enum DiffusionScheme {
     /// Forward Euler — cheap, needs `σ²/2·dt/dq² ≤ 0.5` (folded into the
     /// CFL computation).
     Explicit,
-    /// Crank–Nicolson — unconditionally stable tridiagonal solve per
-    /// ν-row.
+    /// Crank–Nicolson — unconditionally stable; the tridiagonal matrix is
+    /// factored once per dt and every ν-row is solved in the same two
+    /// passes over the grid.
     CrankNicolson,
 }
 
@@ -64,34 +71,36 @@ impl<L: RateControl> FpProblem<L> {
 }
 
 /// The time stepper: owns the density, pre-computed face velocities and
-/// scratch buffers.
+/// the O(nν) scratch of the q-direction kernels.
 pub struct FpSolver<L> {
     problem: FpProblem<L>,
     density: Density,
     t: f64,
     /// ν-advection face velocities per q-column: `w[i * (ny+1) + k]`.
     vel_nu: Vec<f64>,
-    /// q-advection face velocities per ν-row (length nx+1 each, but the
-    /// interior value is the constant ν_j; stored per row for the sweep
-    /// API).
-    vel_q_row: Vec<f64>,
-    // Scratch buffers.
-    line_q: Vec<f64>,
-    flux_q: Vec<f64>,
     flux_nu: Vec<f64>,
-    cn_bufs: [Vec<f64>; 5],
+    /// q-advection of all ν-rows at once, lane j at velocity ν_j.
+    q_advection: RowAdvection,
+    /// q-diffusion of all ν-rows at once.
+    q_diffusion: RowDiffusion,
 }
 
 impl<L: RateControl> FpSolver<L> {
     /// Create a solver from a problem and an initial density.
     ///
     /// # Errors
-    /// [`NumericsError::InvalidParameter`] for non-positive μ, negative
-    /// σ², or a CFL factor outside (0, 1].
+    /// [`NumericsError::InvalidParameter`] for a μ that is not finite and
+    /// positive, a σ² that is not finite and non-negative, a CFL factor
+    /// outside (0, 1], or a grid with fewer than 2 cells on an axis.
     pub fn new(problem: FpProblem<L>, initial: Density) -> Result<Self> {
-        if !(problem.mu > 0.0) || problem.sigma2 < 0.0 {
+        if !(problem.mu > 0.0 && problem.mu.is_finite()) {
             return Err(NumericsError::InvalidParameter {
-                context: "FpSolver: need mu > 0 and sigma2 >= 0",
+                context: "FpSolver: mu must be finite and > 0",
+            });
+        }
+        if !(problem.sigma2 >= 0.0 && problem.sigma2.is_finite()) {
+            return Err(NumericsError::InvalidParameter {
+                context: "FpSolver: sigma2 must be finite and >= 0",
             });
         }
         if !(problem.cfl > 0.0 && problem.cfl <= 1.0) {
@@ -101,6 +110,11 @@ impl<L: RateControl> FpSolver<L> {
         }
         let nx = initial.grid.x.n();
         let ny = initial.grid.y.n();
+        if nx < 2 || ny < 2 {
+            return Err(NumericsError::InvalidParameter {
+                context: "FpSolver: the grid needs at least 2 cells per axis",
+            });
+        }
         // Pre-compute ν-face velocities g(q_i, ν_face + μ) per column.
         let mut vel_nu = vec![0.0; nx * (ny + 1)];
         for i in 0..nx {
@@ -110,23 +124,15 @@ impl<L: RateControl> FpSolver<L> {
                 vel_nu[i * (ny + 1) + k] = problem.law.g(q, nu_face + problem.mu);
             }
         }
-        let cn = [
-            vec![0.0; nx],
-            vec![0.0; nx],
-            vec![0.0; nx],
-            vec![0.0; nx],
-            vec![0.0; nx],
-        ];
+        let q_advection = RowAdvection::new(initial.grid.y.centers());
         Ok(Self {
             problem,
             density: initial,
             t: 0.0,
             vel_nu,
-            vel_q_row: vec![0.0; nx + 1],
-            line_q: vec![0.0; nx],
-            flux_q: vec![0.0; nx + 1],
             flux_nu: vec![0.0; ny + 1],
-            cn_bufs: cn,
+            q_advection,
+            q_diffusion: RowDiffusion::new(nx, ny),
         })
     }
 
@@ -171,13 +177,18 @@ impl<L: RateControl> FpSolver<L> {
     /// respect [`FpSolver::max_dt`]).
     ///
     /// # Errors
-    /// Propagates tridiagonal-solve failures from Crank–Nicolson (cannot
-    /// occur for valid parameters).
+    /// [`NumericsError::InvalidParameter`] unless `dt` is finite and
+    /// positive.
     pub fn step(&mut self, dt: f64) -> Result<()> {
+        if !(dt > 0.0 && dt.is_finite()) {
+            return Err(NumericsError::InvalidParameter {
+                context: "FpSolver::step: dt must be finite and > 0",
+            });
+        }
         // Strang: Aq(dt/2) Aν(dt/2) D(dt) Aν(dt/2) Aq(dt/2).
         self.advect_q(0.5 * dt);
         self.advect_nu(0.5 * dt);
-        self.diffuse(dt)?;
+        self.diffuse(dt);
         self.advect_nu(0.5 * dt);
         self.advect_q(0.5 * dt);
         self.t += dt;
@@ -187,8 +198,14 @@ impl<L: RateControl> FpSolver<L> {
     /// Integrate until `t_end`, choosing steps from the CFL bound.
     ///
     /// # Errors
-    /// Propagates [`FpSolver::step`]; rejects `t_end < self.time()`.
+    /// [`NumericsError::InvalidParameter`] unless `t_end` is finite and
+    /// `>= self.time()`.
     pub fn run_until(&mut self, t_end: f64) -> Result<()> {
+        if !t_end.is_finite() {
+            return Err(NumericsError::InvalidParameter {
+                context: "FpSolver::run_until: t_end must be finite",
+            });
+        }
         if t_end < self.t {
             return Err(NumericsError::InvalidParameter {
                 context: "FpSolver::run_until: t_end must be >= current time",
@@ -203,33 +220,9 @@ impl<L: RateControl> FpSolver<L> {
     }
 
     fn advect_q(&mut self, dt: f64) {
-        let nx = self.density.grid.x.n();
-        let ny = self.density.grid.y.n();
         let dq = self.density.grid.x.dx();
-        for j in 0..ny {
-            let nu = self.density.grid.y.center(j);
-            if nu == 0.0 {
-                continue;
-            }
-            for v in self.vel_q_row.iter_mut() {
-                *v = nu;
-            }
-            // Gather the strided q-line, sweep, scatter back.
-            for i in 0..nx {
-                self.line_q[i] = self.density.data[i * ny + j];
-            }
-            advect_sweep(
-                &mut self.line_q,
-                &self.vel_q_row,
-                dq,
-                dt,
-                self.problem.limiter,
-                &mut self.flux_q,
-            );
-            for i in 0..nx {
-                self.density.data[i * ny + j] = self.line_q[i];
-            }
-        }
+        self.q_advection
+            .sweep(&mut self.density.data, dq, dt, self.problem.limiter);
     }
 
     fn advect_nu(&mut self, dt: f64) {
@@ -243,32 +236,129 @@ impl<L: RateControl> FpSolver<L> {
         }
     }
 
-    fn diffuse(&mut self, dt: f64) -> Result<()> {
+    fn diffuse(&mut self, dt: f64) {
         if self.problem.sigma2 == 0.0 {
-            return Ok(());
+            return;
         }
-        let nx = self.density.grid.x.n();
-        let ny = self.density.grid.y.n();
         let dq = self.density.grid.x.dx();
         let d = 0.5 * self.problem.sigma2;
-        for j in 0..ny {
-            for i in 0..nx {
-                self.line_q[i] = self.density.data[i * ny + j];
-            }
-            match self.problem.diffusion {
-                DiffusionScheme::Explicit => {
-                    diffuse_explicit(&mut self.line_q, d, dq, dt, &mut self.cn_bufs[0]);
+        let data = &mut self.density.data;
+        match self.problem.diffusion {
+            DiffusionScheme::Explicit => self.q_diffusion.explicit(data, d, dq, dt),
+            DiffusionScheme::CrankNicolson => self.q_diffusion.crank_nicolson(data, d, dq, dt),
+        }
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! The q-direction step as it was before the row-batched kernels:
+    //! gather each strided q-line, run a 1-D kernel, scatter it back.
+    //! Kept as the reference [`super::FpSolver::step`] and the
+    //! [`crate::classic::Classic1dSolver`] must match bit for bit.
+
+    use super::{DiffusionScheme, FpProblem};
+    use crate::density::Density;
+    use crate::fv::advect_sweep;
+    use fpk_congestion::RateControl;
+
+    /// Explicit zero-flux diffusion of one line.
+    fn diffuse_explicit(f: &mut [f64], d: f64, dx: f64, dt: f64) {
+        let n = f.len();
+        let r = d * dt / (dx * dx);
+        let old = f.to_vec();
+        for i in 0..n {
+            let left = if i == 0 { 0.0 } else { old[i] - old[i - 1] };
+            let right = if i == n - 1 { 0.0 } else { old[i + 1] - old[i] };
+            f[i] += r * (right - left);
+        }
+    }
+
+    /// Crank–Nicolson zero-flux diffusion of one line: build the matrix,
+    /// then the full Thomas solve.
+    pub fn diffuse_crank_nicolson(f: &mut [f64], d: f64, dx: f64, dt: f64) {
+        let n = f.len();
+        let r = 0.5 * d * dt / (dx * dx);
+        let mut rhs = vec![0.0; n];
+        for i in 0..n {
+            let left = if i == 0 { 0.0 } else { f[i] - f[i - 1] };
+            let right = if i == n - 1 { 0.0 } else { f[i + 1] - f[i] };
+            rhs[i] = f[i] + r * (right - left);
+        }
+        let diag: Vec<f64> = (0..n)
+            .map(|i| {
+                if i == 0 || i == n - 1 {
+                    1.0 + r
+                } else {
+                    1.0 + 2.0 * r
                 }
-                DiffusionScheme::CrankNicolson => {
-                    let [b0, b1, b2, b3, b4] = &mut self.cn_bufs;
-                    diffuse_crank_nicolson(&mut self.line_q, d, dq, dt, b0, b1, b2, b3, b4)?;
+            })
+            .collect();
+        let sub: Vec<f64> = (0..n).map(|i| if i == 0 { 0.0 } else { -r }).collect();
+        let sup: Vec<f64> = (0..n).map(|i| if i == n - 1 { 0.0 } else { -r }).collect();
+        let mut c = vec![0.0; n];
+        let mut beta = diag[0];
+        c[0] = sup[0] / beta;
+        rhs[0] /= beta;
+        for i in 1..n {
+            beta = diag[i] - sub[i] * c[i - 1];
+            c[i] = sup[i] / beta;
+            rhs[i] = (rhs[i] - sub[i] * rhs[i - 1]) / beta;
+        }
+        for i in (0..n - 1).rev() {
+            rhs[i] -= c[i] * rhs[i + 1];
+        }
+        f.copy_from_slice(&rhs);
+    }
+
+    /// One Strang step of Eq. 14 on `den`, gathering every q-line.
+    pub fn step<L: RateControl>(p: &FpProblem<L>, den: &mut Density, dt: f64) {
+        let (nx, ny) = (den.grid.x.n(), den.grid.y.n());
+        let (dq, dnu) = (den.grid.x.dx(), den.grid.y.dx());
+        let advect_q = |den: &mut Density, h: f64| {
+            for j in 0..ny {
+                let nu = den.grid.y.center(j);
+                if nu == 0.0 {
+                    continue;
+                }
+                let mut line: Vec<f64> = (0..nx).map(|i| den.data[i * ny + j]).collect();
+                let mut flux = vec![0.0; nx + 1];
+                advect_sweep(&mut line, &vec![nu; nx + 1], dq, h, p.limiter, &mut flux);
+                for (i, v) in line.into_iter().enumerate() {
+                    den.data[i * ny + j] = v;
                 }
             }
+        };
+        let advect_nu = |den: &mut Density, h: f64| {
             for i in 0..nx {
-                self.density.data[i * ny + j] = self.line_q[i];
+                let q = den.grid.x.center(i);
+                let vel: Vec<f64> = (0..=ny)
+                    .map(|k| p.law.g(q, den.grid.y.face(k) + p.mu))
+                    .collect();
+                let mut flux = vec![0.0; ny + 1];
+                let col = &mut den.data[i * ny..(i + 1) * ny];
+                advect_sweep(col, &vel, dnu, h, p.limiter, &mut flux);
+            }
+        };
+        advect_q(den, 0.5 * dt);
+        advect_nu(den, 0.5 * dt);
+        if p.sigma2 != 0.0 {
+            let d = 0.5 * p.sigma2;
+            for j in 0..ny {
+                let mut line: Vec<f64> = (0..nx).map(|i| den.data[i * ny + j]).collect();
+                match p.diffusion {
+                    DiffusionScheme::Explicit => diffuse_explicit(&mut line, d, dq, dt),
+                    DiffusionScheme::CrankNicolson => {
+                        diffuse_crank_nicolson(&mut line, d, dq, dt);
+                    }
+                }
+                for (i, v) in line.into_iter().enumerate() {
+                    den.data[i * ny + j] = v;
+                }
             }
         }
-        Ok(())
+        advect_nu(den, 0.5 * dt);
+        advect_q(den, 0.5 * dt);
     }
 }
 
@@ -399,25 +489,184 @@ mod tests {
 
     #[test]
     fn invalid_parameters_rejected() {
+        type Edit = fn(&mut FpProblem<LinearExp>);
         let law = LinearExp::standard();
         let grid = Density::standard_grid(10.0, -2.0, 2.0, 10, 10).unwrap();
         let init = Density::gaussian(grid, 5.0, 0.0, 1.0, 0.5).unwrap();
-        let mut p = FpProblem::new(law, 0.0, 0.1);
-        assert!(FpSolver::new(p.clone(), init.clone()).is_err());
-        p.mu = 5.0;
-        p.sigma2 = -1.0;
-        assert!(FpSolver::new(p.clone(), init.clone()).is_err());
-        p.sigma2 = 0.1;
-        p.cfl = 0.0;
-        assert!(FpSolver::new(p, init).is_err());
+        let base = FpProblem::new(law, 5.0, 0.1);
+        let cases: [(&str, Edit); 11] = [
+            ("mu = 0", |p| p.mu = 0.0),
+            ("mu < 0", |p| p.mu = -1.0),
+            ("mu = inf", |p| p.mu = f64::INFINITY),
+            ("mu = NaN", |p| p.mu = f64::NAN),
+            ("sigma2 < 0", |p| p.sigma2 = -1.0),
+            ("sigma2 = inf", |p| p.sigma2 = f64::INFINITY),
+            ("sigma2 = NaN", |p| p.sigma2 = f64::NAN),
+            ("cfl = 0", |p| p.cfl = 0.0),
+            ("cfl > 1", |p| p.cfl = 1.5),
+            ("cfl = NaN", |p| p.cfl = f64::NAN),
+            ("valid", |_| {}),
+        ];
+        for (what, edit) in cases {
+            let mut p = base.clone();
+            edit(&mut p);
+            let r = FpSolver::new(p, init.clone());
+            if what == "valid" {
+                assert!(r.is_ok());
+            } else {
+                assert!(
+                    matches!(r, Err(NumericsError::InvalidParameter { .. })),
+                    "{what} accepted"
+                );
+            }
+        }
+        for (nq, nnu) in [(1, 10), (10, 1)] {
+            let grid = Density::standard_grid(10.0, -2.0, 2.0, nq, nnu).unwrap();
+            let thin = Density::gaussian(grid, 5.0, 0.0, 1.0, 0.5).unwrap();
+            assert!(
+                matches!(
+                    FpSolver::new(base.clone(), thin),
+                    Err(NumericsError::InvalidParameter { .. })
+                ),
+                "{nq}x{nnu} grid accepted"
+            );
+        }
     }
 
     #[test]
     fn run_until_rejects_past_times() {
-        let (p, init) = small_problem(0.0);
+        type Call = fn(&mut FpSolver<LinearExp>) -> Result<()>;
+        let (p, init) = small_problem(0.3);
         let mut s = FpSolver::new(p, init).unwrap();
         s.run_until(1.0).unwrap();
-        assert!(s.run_until(0.5).is_err());
+        let (t, before) = (s.time(), s.density().data.clone());
+        let cases: [(&str, Call); 9] = [
+            ("run_until(0.5)", |s| s.run_until(0.5)),
+            ("run_until(NaN)", |s| s.run_until(f64::NAN)),
+            ("run_until(inf)", |s| s.run_until(f64::INFINITY)),
+            ("run_until(-inf)", |s| s.run_until(f64::NEG_INFINITY)),
+            ("step(NaN)", |s| s.step(f64::NAN)),
+            ("step(-1)", |s| s.step(-1.0)),
+            ("step(0)", |s| s.step(0.0)),
+            ("step(inf)", |s| s.step(f64::INFINITY)),
+            ("step(-inf)", |s| s.step(f64::NEG_INFINITY)),
+        ];
+        for (what, call) in cases {
+            assert!(
+                matches!(call(&mut s), Err(NumericsError::InvalidParameter { .. })),
+                "{what} accepted"
+            );
+            assert_eq!(s.time(), t, "{what} moved the clock");
+            assert_eq!(s.density().data, before, "{what} moved the density");
+        }
+    }
+
+    fn assert_bit_equal(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (k, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: cell {k}: {a} vs {b}");
+        }
+    }
+
+    const LIMITERS: [Limiter; 4] = [
+        Limiter::Upwind,
+        Limiter::Minmod,
+        Limiter::VanLeer,
+        Limiter::Superbee,
+    ];
+    const SCHEMES: [DiffusionScheme; 2] =
+        [DiffusionScheme::Explicit, DiffusionScheme::CrankNicolson];
+
+    #[test]
+    fn batched_step_matches_gathering_reference() {
+        // 37×23 on a symmetric ν-range has a ν-centre at exactly 0.
+        let grids = [
+            (30, 18, -5.0, 6.0),
+            (100, 60, -5.0, 6.0),
+            (37, 23, -5.75, 5.75),
+        ];
+        for (nq, nnu, lo, hi) in grids {
+            let grid = Density::standard_grid(30.0, lo, hi, nq, nnu).unwrap();
+            if nnu == 23 {
+                assert!((0..nnu).any(|j| grid.y.center(j) == 0.0));
+            }
+            // Near q = 0, so the blocked face and the short stencils act.
+            let init = Density::gaussian(grid, 3.0, -1.0, 1.5, 0.8).unwrap();
+            for limiter in LIMITERS {
+                for diffusion in SCHEMES {
+                    let mut p = FpProblem::new(LinearExp::new(1.0, 0.5, 10.0), 5.0, 0.5);
+                    p.limiter = limiter;
+                    p.diffusion = diffusion;
+                    let mut s = FpSolver::new(p.clone(), init.clone()).unwrap();
+                    let mut want = init.clone();
+                    let dt = s.max_dt();
+                    for _ in 0..12 {
+                        s.step(dt).unwrap();
+                        reference::step(&p, &mut want, dt);
+                    }
+                    let what = format!("{nq}x{nnu} {limiter:?}/{diffusion:?}");
+                    assert_bit_equal(&s.density().data, &want.data, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_until_refactors_when_dt_changes() {
+        // Each run ends on a short step, so the diffusion factor is
+        // rebuilt for it and again for the next run's full steps.
+        let (mut p, init) = small_problem(0.5);
+        for diffusion in SCHEMES {
+            p.diffusion = diffusion;
+            let mut s = FpSolver::new(p.clone(), init.clone()).unwrap();
+            let dt_max = s.max_dt();
+            let mut want = init.clone();
+            let mut t = 0.0;
+            for t_end in [3.3 * dt_max, 7.9 * dt_max] {
+                s.run_until(t_end).unwrap();
+                while t < t_end - 1e-12 {
+                    let dt = dt_max.min(t_end - t);
+                    reference::step(&p, &mut want, dt);
+                    t += dt;
+                }
+                assert_bit_equal(&s.density().data, &want.data, &format!("{diffusion:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn classic_solver_matches_reference() {
+        use crate::classic::{Classic1d, Classic1dSolver};
+        use fpk_numerics::grid::Grid1d;
+        let grid = Grid1d::new(0.0, 10.0, 80).unwrap();
+        let drift = |q: f64| 1.0 - 0.4 * q;
+        let init: Vec<f64> = (0..grid.n())
+            .map(|i| (-(grid.center(i) - 2.0).powi(2)).exp())
+            .collect();
+        let problem = Classic1d {
+            drift,
+            sigma2: 0.8,
+            grid: grid.clone(),
+        };
+        let mut s = Classic1dSolver::new(problem, &init).unwrap();
+        let dt_max = s.max_dt();
+        let t_end = 40.5 * dt_max;
+        s.run_until(t_end).unwrap();
+
+        let dx = grid.dx();
+        let mass: f64 = init.iter().sum::<f64>() * dx;
+        let mut f: Vec<f64> = init.iter().map(|v| v / mass).collect();
+        let vel: Vec<f64> = (0..=grid.n()).map(|k| drift(grid.face(k))).collect();
+        let mut flux = vec![0.0; grid.n() + 1];
+        let mut t = 0.0;
+        while t < t_end - 1e-12 {
+            let dt = dt_max.min(t_end - t);
+            advect_sweep(&mut f, &vel, dx, 0.5 * dt, Limiter::VanLeer, &mut flux);
+            reference::diffuse_crank_nicolson(&mut f, 0.4, dx, dt);
+            advect_sweep(&mut f, &vel, dx, 0.5 * dt, Limiter::VanLeer, &mut flux);
+            t += dt;
+        }
+        assert_bit_equal(s.density(), &f, "classic");
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //!   output and event location.
 //! * [`dde`] — constant-lag delay differential equations via the method of
 //!   steps with cubic-Hermite history interpolation.
-//! * [`linalg`] — the tridiagonal (Thomas) solver.
 //! * [`roots`] — Brent root finding.
 //! * [`signal`] — peak detection, oscillation amplitude/period estimation,
 //!   regime classification and power-law fits.
@@ -30,31 +29,12 @@
 //! and reuses. Parallelism lives only in [`par`], whose results never
 //! depend on the worker count. All algorithms are deterministic; nothing
 //! here seeds its own RNG.
-//!
-//! # Example
-//!
-//! The Thomas solve at the heart of every Crank–Nicolson sweep:
-//!
-//! ```
-//! use fpk_numerics::linalg::solve_tridiagonal;
-//! // [ 2 -1  0 ] x = [1, 0, 1]ᵀ  →  x = [1, 1, 1]ᵀ
-//! // [-1  2 -1 ]
-//! // [ 0 -1  2 ]
-//! let (sub, diag, sup) = (vec![-1.0; 3], vec![2.0; 3], vec![-1.0; 3]);
-//! let mut d = vec![1.0, 0.0, 1.0];
-//! let mut scratch = vec![0.0; 3];
-//! solve_tridiagonal(&sub, &diag, &sup, &mut d, &mut scratch).unwrap();
-//! for x in d {
-//!     assert!((x - 1.0).abs() < 1e-12);
-//! }
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dde;
 pub mod grid;
-pub mod linalg;
 pub mod ode;
 pub mod par;
 pub mod roots;
@@ -75,12 +55,6 @@ pub enum NumericsError {
         context: &'static str,
         /// Number of iterations that were attempted.
         iterations: usize,
-    },
-    /// A matrix was singular (or numerically singular) where a solve was
-    /// requested.
-    Singular {
-        /// Which solver detected the singularity.
-        context: &'static str,
     },
     /// A parameter was outside its admissible range.
     InvalidParameter {
@@ -108,7 +82,6 @@ impl std::fmt::Display for NumericsError {
                 f,
                 "no convergence in {context} after {iterations} iterations"
             ),
-            NumericsError::Singular { context } => write!(f, "singular system in {context}"),
             NumericsError::InvalidParameter { context } => {
                 write!(f, "invalid parameter: {context}")
             }
